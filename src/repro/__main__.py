@@ -13,8 +13,8 @@ Commands:
   and emit one schema-versioned record per cell
   (``--quick`` for the 16-cell CI gate, ``--format text|json|csv``,
   ``--sanitize`` to run every cell under IsoSan, ``--shards N`` to run
-  each cell on the sharded co-simulation engine; same ``--seed`` gives
-  byte-identical reports at any shard count)
+  each cell as a fleet of independent NICs on N worker processes; same
+  ``--seed`` gives byte-identical reports at any shard count)
 * ``bench``   — run the unified benchmark harness over every
   ``benchmarks/bench_*.py`` scenario and write a schema-versioned
   ``BENCH_<timestamp>.json`` (``--quick`` for CI-sized runs,
@@ -40,7 +40,8 @@ Commands:
   teardown-deadline objectives (``--quick``, ``--tenants N``,
   ``--violation-demo`` for the seeded alert self-test,
   ``--openmetrics PATH`` for the OpenMetrics export, ``--shards N``
-  for the sharded engine with byte-identical reports)
+  to score each arbiter as a fleet of independent NICs, byte-identical
+  at any N)
 * ``postmortem`` — inspect a forensics bundle dropped by ``chaos`` or
   ``matrix`` (``--postmortem-dir``): pretty-print the flight-recorder
   tail and audit excerpt, ``--verify`` the sha256 hash chain, or
@@ -55,7 +56,7 @@ Commands:
   the shard-safety manifest for the sharding refactor)
 * ``sanitize`` — determinism checker: run the co-tenancy demo twice
   and fail on event-stream digest divergence (``--shards`` also
-  asserts the sharded engine's worker-count invariance)
+  asserts that sharded reports do not depend on the worker count)
 * ``info``    — version + package inventory (default)
 """
 
@@ -244,9 +245,9 @@ def _bench(argv: list) -> int:
                              "sanitizer (isolation violations become "
                              "scenario errors)")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="deal the bench scripts to N shard worker "
-                             "processes (round-robin; the artifact keeps "
-                             "discovery order)")
+                        help="run the bench scripts on N worker "
+                             "processes (the artifact keeps discovery "
+                             "order)")
     args = parser.parse_args(argv)
 
     from repro.obs import bench

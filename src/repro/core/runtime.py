@@ -26,6 +26,14 @@ from repro.nf.base import NetworkFunction
 from repro.obs.tracer import get_tracer
 
 
+def percentile(ordered: Sequence[int], q: float) -> float:
+    """The ``q``-th percentile of an ascending list: the element at
+    index ``floor(q/100 * n)``, clamped to the last; 0.0 when empty."""
+    if not ordered:
+        return 0.0
+    return float(ordered[min(len(ordered) - 1, int(q / 100.0 * len(ordered)))])
+
+
 @dataclass
 class PacketTiming:
     """One packet's life cycle through the NIC."""
@@ -51,11 +59,7 @@ class RuntimeStats:
         return len(self.timings)
 
     def latency_percentile(self, q: float) -> float:
-        if not self.timings:
-            return 0.0
-        latencies = sorted(t.latency_ns for t in self.timings)
-        index = min(len(latencies) - 1, int(q / 100.0 * len(latencies)))
-        return float(latencies[index])
+        return percentile(sorted(t.latency_ns for t in self.timings), q)
 
     def throughput_mpps(self) -> float:
         if not self.timings:
@@ -190,25 +194,14 @@ class SNICRuntime:
     _running = False
 
     def begin(self) -> None:
-        """Arm the poll loops without running the kernel.
-
-        The sharded execution path splits :meth:`run` into phases: the
-        shard engine grants virtual-time windows and the worker calls
-        :meth:`advance_to` per grant, then :meth:`drain` once the last
-        grant lands.  Idempotent, so :meth:`run` can delegate to it.
-        """
+        """Arm every attached function's poll loop without running the
+        kernel; :meth:`drain` then runs it.  Idempotent."""
         if self._began:
             return
         self._began = True
         self._running = True
         for nf_id in self._functions:
             self.sim.schedule(self.poll_interval_ns, lambda n=nf_id: self._poll(n))
-
-    def advance_to(self, until_ns: int) -> None:
-        """Execute every event up to ``until_ns`` (one grant window)."""
-        if not self._began:
-            raise RuntimeError("advance_to() before begin()")
-        self.sim.run(until_ns=until_ns)
 
     def drain(self) -> RuntimeStats:
         """Run until only re-armed polls remain: stop once every

@@ -174,37 +174,7 @@ class Simulator:
         """Run all events within the next ``delta_ns`` nanoseconds."""
         return self.run(until_ns=self._now_ns + delta_ns)
 
-    def peek_next_ns(self) -> Optional[int]:
-        """Timestamp of the earliest live event, or ``None`` if idle."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time_ns if self._queue else None
-
-    def run_handoff(self, until_ns: int) -> "HandoffReport":
-        """Execute one synchronized-virtual-time window, then hand off.
-
-        The shard protocol's kernel hook: a worker receiving a grant for
-        ``until_ns`` runs every event inside the window and reports back
-        where its clock landed and when its next event is due — enough
-        for a conservative parent to schedule the next grant without
-        ever sending a shard an event in its past.
-        """
-        executed = self.run(until_ns=until_ns)
-        return HandoffReport(
-            executed=executed,
-            now_ns=self._now_ns,
-            next_event_ns=self.peek_next_ns(),
-        )
-
     @property
     def pending(self) -> int:
         return sum(1 for e in self._queue if not e.cancelled)
 
-
-@dataclass(frozen=True)
-class HandoffReport:
-    """What a shard kernel reports at the end of a grant window."""
-
-    executed: int
-    now_ns: int
-    next_event_ns: Optional[int]

@@ -60,10 +60,13 @@ def default_bench_dir() -> Path:
         "no benchmarks/ directory found; pass bench_dir explicitly")
 
 
-def discover(bench_dir: Optional[Path] = None) -> List[Path]:
-    """Every ``bench_*.py`` scenario file, sorted by name."""
+def discover(bench_dir: Optional[Path] = None,
+             only: Optional[Sequence[str]] = None) -> List[Path]:
+    """Every ``bench_*.py`` scenario file, sorted by name; ``only``
+    keeps those whose name contains one of its substrings."""
     bench_dir = Path(bench_dir) if bench_dir else default_bench_dir()
-    return sorted(bench_dir.glob("bench_*.py"))
+    return [p for p in sorted(bench_dir.glob("bench_*.py"))
+            if not only or any(pat in scenario_name(p) for pat in only)]
 
 
 def scenario_name(path: Path) -> str:
@@ -212,21 +215,24 @@ def run_benchmarks(
     an optional callable invoked with each finished :class:`BenchRecord`
     (the CLI uses it to print one line per scenario as it lands).
     """
-    import platform
-
-    import repro
-
-    paths = discover(bench_dir)
-    if only:
-        paths = [p for p in paths
-                 if any(pat in scenario_name(p) for pat in only)]
     records: List[BenchRecord] = []
     started = time.perf_counter()
-    for path in paths:
+    for path in discover(bench_dir, only):
         record = run_scenario(path, quick=quick, capture=capture)
         records.append(record)
         if progress is not None:
             progress(record)
+    return bench_artifact(records, quick, started)
+
+
+def bench_artifact(records: List[BenchRecord], quick: bool,
+                   started: float) -> Dict[str, object]:
+    """The ``repro.bench`` artifact around ``records``; ``started`` is
+    the ``perf_counter`` reading the run began at."""
+    import platform
+
+    import repro
+
     return {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,

@@ -217,7 +217,6 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
              sanitize: bool = False,
              window_ns: int = DEFAULT_WINDOW_NS,
              families_sink: Optional[List[object]] = None,
-             packet_phase=None,
              ) -> Dict[str, object]:
     """Run one scorecard cell under full state isolation.
 
@@ -225,9 +224,7 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
     the fired alerts, window/audit bookkeeping.  With ``families_sink``
     given, the cell's OpenMetrics families (registry + windows, tagged
     with an ``arbiter`` label) are appended to it before the trailing
-    isolation reset wipes the registry.  ``packet_phase`` forwards to
-    :meth:`~repro.scenario.build.BuiltScenario.drive` — the shard
-    worker's granted-injection seam.
+    isolation reset wipes the registry.
     """
     from repro.analysis.isosan import sanitized
     from repro.obs import auditlog as auditlog_mod
@@ -276,8 +273,7 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
                 outputs = built.drive(
                     quick=quick, rounds=rounds,
                     on_round=lambda _i, end_ns: aggregator.rotate(
-                        now_ns=sim.now_ns + end_ns),
-                    packet_phase=packet_phase)
+                        now_ns=sim.now_ns + end_ns))
                 aggregator.stop()
                 xwait = _xwait_by_victim(blame_matrix(registry))
                 timing = built.snic.timing
@@ -397,6 +393,16 @@ def run_scorecard(n_tenants: int = 128, seed: int = 7,
             openmetrics.merge_families(families))
         with open(openmetrics_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    return scorecard_report(results, n_tenants=n_tenants, seed=seed,
+                            quick=quick, sanitize=sanitize,
+                            window_ns=window_ns)
+
+
+def scorecard_report(results: Dict[str, Dict[str, object]],
+                     n_tenants: int, seed: int, quick: bool,
+                     sanitize: bool, window_ns: int) -> Dict[str, object]:
+    """The report around per-arbiter result blocks, with one summary
+    row per arbiter."""
     return {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
@@ -589,9 +595,10 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                         help="run every cell under the IsoSan runtime "
                              "sanitizer (also via REPRO_ISOSAN=1)")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run each arbiter cell through the sharded "
-                             "co-simulation engine on N worker processes "
-                             "(reports are byte-identical for any N)")
+                        help="run each arbiter cell as a fleet of "
+                             "independent NICs (the spec's shard "
+                             "partitions) on N worker processes; reports "
+                             "are byte-identical for any N")
     parser.add_argument("--violation-demo", action="store_true",
                         help="run the seeded alert self-test instead "
                              "of the sweep; exit 1 unless exactly the "

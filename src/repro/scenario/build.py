@@ -59,8 +59,7 @@ def make_packets(spec: ScenarioSpec) -> List[object]:
     """The deterministic offered load described by ``spec.traffic``.
 
     A pure function of the spec (seeded from ``sub_seed("traffic")``),
-    so the shard engine's host-side scheduler and an in-process
-    deployment compute the exact same packet list independently.
+    so any caller recomputes the exact packet list a deployment drives.
     """
     from repro.net.packet import Packet
 
@@ -387,8 +386,6 @@ class BuiltScenario:
     def drive(self, quick: bool = False,
               rounds: Optional[int] = None,
               on_round: Optional[Callable[[int, float], None]] = None,
-              packet_phase: Optional[
-                  Callable[["BuiltScenario"], object]] = None,
               ) -> Dict[str, object]:
         """Run the generic two-phase experiment and return its outputs.
 
@@ -404,12 +401,6 @@ class BuiltScenario:
         ``(round_index, round_end_ns)`` — phase 2 advances hand-stepped
         timestamps outside the event kernel, so observers that window on
         sim time (the SLO aggregator) rotate through this hook.
-
-        ``packet_phase`` replaces phase 1 entirely: the shard worker's
-        seam.  It receives this deployment and must return the
-        :class:`~repro.core.runtime.RuntimeStats` of the traffic phase
-        (the sharded path injects granted packets window by window
-        instead of all up front).
         """
         if not self._deployed:
             raise ScenarioBuildError("deploy() the scenario before driving it")
@@ -437,8 +428,7 @@ class BuiltScenario:
                 if self.fault_plan.events_for(FaultKind.NIC_OS_STALL):
                     targets[FaultKind.NIC_OS_STALL] = self.nic_os
                 self.injector.arm_all(targets or None)
-            stats = packet_phase(self) if packet_phase is not None \
-                else self._drive_packets()
+            stats = self._drive_packets()
             contention = self._drive_contention(rounds, on_round=on_round)
         finally:
             if self.injector is not None:

@@ -303,12 +303,12 @@ def run_matrix(
     error cell drops a ``POSTMORTEM_<cell>.json`` bundle there (the
     report itself stays byte-identical either way).
 
-    ``shards`` routes every cell through the sharded co-simulation
-    engine with that many worker processes.  The partition plan lives
-    in the spec, not here, so the report is byte-identical for any
-    shard count — but it is a *different* (partitioned) simulation from
-    the monolithic path, so sharded and unsharded reports are not
-    comparable byte-for-byte.
+    ``shards`` runs every cell as a fleet of independent NICs (the
+    spec's shard partitions, see :mod:`repro.shard`) on that many worker
+    processes.  The partition plan lives in the spec, not here, so the
+    report is byte-identical for any shard count.  It is a *different*
+    experiment from the monolithic path, though: no contention crosses
+    partitions, so sharded and unsharded reports are not comparable.
     """
     if shards is not None and postmortem_dir is not None:
         raise ValueError("per-cell postmortem bundles are not available "
@@ -556,9 +556,10 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                              "of the axis sweep (repeatable; see "
                              "examples/slo_scenario.json)")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run each cell through the sharded "
-                             "co-simulation engine on N worker processes "
-                             "(reports are byte-identical for any N)")
+                        help="run each cell as a fleet of independent "
+                             "NICs (the spec's shard partitions) on N "
+                             "worker processes; reports are "
+                             "byte-identical for any N")
     parser.add_argument("--seed", type=int, default=7,
                         help="base seed; every cell seed derives from it "
                              "(default 7)")

@@ -370,51 +370,33 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """How a scenario decomposes into co-simulated partitions.
+    """How a scenario splits into a fleet of independent NICs.
 
-    SimBricks' central idea, applied to one experiment: the *partition
-    plan* — how many NIC/tenant shards the scenario splits into and the
-    virtual link latency that couples them to the host/fabric side — is
-    part of the experiment configuration, **not** an execution detail.
-    ``partitions`` therefore pins the decomposition in the spec; the
-    ``--shards N`` worker count only chooses how many OS processes
-    execute those partitions, which is why merged reports are
+    ``partitions`` is part of the experiment, **not** an execution
+    detail: it pins how many smaller NICs the tenants are spread over,
+    each with its own bus, DMA and DRAM, so no contention crosses
+    partitions.  The ``--shards N`` worker count only chooses how many
+    OS processes run those partitions, which is why merged reports are
     byte-identical for any ``N``.
-
-    ``link_latency_ns`` is the host↔NIC fabric latency and doubles as
-    the conservative synchronization *lookahead*: a shard granted
-    virtual time ``t`` can safely simulate to ``t + link_latency_ns``
-    because no message emitted after the grant can arrive earlier.
     """
 
     partitions: int = 4
-    link_latency_ns: int = 800
 
     def __post_init__(self) -> None:
         if not isinstance(self.partitions, int) \
                 or isinstance(self.partitions, bool) or self.partitions < 1:
             raise SpecError("shard partitions must be an int >= 1")
-        if not isinstance(self.link_latency_ns, int) \
-                or isinstance(self.link_latency_ns, bool) \
-                or self.link_latency_ns < 1:
-            raise SpecError("shard link_latency_ns must be an int >= 1")
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "partitions": self.partitions,
-            "link_latency_ns": self.link_latency_ns,
-        }
+        return {"partitions": self.partitions}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ShardSpec":
-        known = {"partitions", "link_latency_ns"}
-        unknown = set(data) - known
+        unknown = set(data) - {"partitions"}
         if unknown:
             raise SpecError(f"unknown ShardSpec fields: {sorted(unknown)}")
-        return cls(
-            partitions=int(data.get("partitions", 4)),
-            link_latency_ns=int(data.get("link_latency_ns", 800)),
-        )
+        # Uncoerced: __post_init__ rejects 2.7, True, "3" and None alike.
+        return cls(partitions=data.get("partitions", 4))  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------

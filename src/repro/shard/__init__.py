@@ -1,39 +1,17 @@
-"""``repro.shard`` — SimBricks-style sharded co-simulation.
+"""``repro.shard`` — run a scenario as a fleet of independent NICs.
 
-The monolithic builder runs one event kernel over every tenant; this
-package splits a scenario into per-shard NIC/tenant *partitions* behind
-explicit message interfaces (host↔NIC↔fabric) and runs them as
-independent event kernels on a ``multiprocessing`` worker pool:
-
-* :mod:`repro.shard.partition` — the partition plan: a pure function of
-  the spec (``ShardSpec.partitions``), never of the worker count;
-* :mod:`repro.shard.frames` — the pickled message frames workers and
-  the parent exchange (grants, acks, serialized metric/trace/audit
-  payloads — never live simulation objects, lint rule SNIC011);
-* :mod:`repro.shard.worker` — the per-process event kernel driving one
-  partition under a conservative synchronized-virtual-time protocol
-  (lookahead = link latency: no shard ever receives an event in its
-  past);
-* :mod:`repro.shard.engine` — the host/fabric side: grant scheduling,
-  the worker pool, and the deterministic merger that recombines
-  per-partition results via ``Histogram.merge``/``Registry.merge_from``
-  so a merged report is byte-identical for any ``--shards N``.
+:mod:`repro.shard.partition` splits a spec into partitions (a pure
+function of ``ShardSpec.partitions``, never of the worker count);
+:mod:`repro.shard.engine` runs each partition as an ordinary monolithic
+scenario on a fork-context process pool and merges the results in
+partition-index order, so reports are byte-identical for any
+``--shards N``.
 """
 
-from repro.shard.frames import ShardError, ShardProtocolError
+from repro.shard.engine import (ShardError, run_benchmarks_sharded, run_cell_sharded,
+                                run_scorecard_sharded, run_sharded_partitions)
 from repro.shard.partition import effective_partitions, partition_specs
-from repro.shard.engine import (
-    run_cell_sharded,
-    run_scorecard_sharded,
-    run_sharded_partitions,
-)
 
-__all__ = [
-    "ShardError",
-    "ShardProtocolError",
-    "effective_partitions",
-    "partition_specs",
-    "run_cell_sharded",
-    "run_scorecard_sharded",
-    "run_sharded_partitions",
-]
+__all__ = ["ShardError", "effective_partitions", "partition_specs",
+           "run_benchmarks_sharded", "run_cell_sharded",
+           "run_scorecard_sharded", "run_sharded_partitions"]

@@ -1,376 +1,231 @@
-"""The shard engine: grant scheduling, the worker pool, and the merger.
+"""The shard engine: map partitions over a process pool, then merge.
 
-The engine is the *host/fabric* component of the co-simulation.  It
-owns everything a shard must not: the partition plan (a pure function
-of the spec), the offered-load schedules (``make_packets`` on each
-partition spec — recomputed here, independently of the workers), and
-the conservative synchronized-virtual-time protocol:
-
-* virtual time is granted in fixed windows of ``64 × link_latency_ns``;
-  grant ``k`` carries exactly the packets arriving inside its window
-  and a simulation horizon one *lookahead* (the link latency) past the
-  window edge — a shard may safely run to that horizon because no
-  message sent after the grant can arrive earlier than the next
-  window;
-* grants are ack-gated: at most one unacknowledged frame is ever in
-  flight per shard, so no shard can observe an event in its past.
-
-Determinism is structural, not incidental: ``--shards N`` only sets the
-worker-process count, partitions are assigned round-robin
-(``[w::workers]``) but results are keyed by partition index and merged
-in index order, and nothing derived from ``N`` (or from wall time)
-enters a merged report — which is why ``--shards 1`` and ``--shards 8``
-produce byte-identical bytes.
+A partition is an ordinary monolithic scenario, so a worker just runs
+it and returns plain data; partitions never exchange a message.  The
+mergers fold results in partition-index order, and nothing derived
+from the worker count enters a merged report.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import multiprocessing
 import time
-from dataclasses import dataclass, field
-from multiprocessing import connection
-from typing import Dict, List, Optional, Sequence, Tuple
+import traceback
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.runtime import percentile
 from repro.scenario.spec import ScenarioSpec
-from repro.shard.frames import (
-    AckFrame,
-    ErrorFrame,
-    GrantFrame,
-    FinishFrame,
-    ResultFrame,
-    ShardError,
-    ShardProtocolError,
-    ShutdownFrame,
-    TaskFrame,
-    packet_to_frame,
-    registry_from_frame,
-)
-from repro.shard.partition import (
-    effective_partitions,
-    link_latency_ns,
-    partition_specs,
-)
-from repro.shard.worker import worker_main
+from repro.shard.partition import effective_partitions, partition_specs
 
-#: Grant windows span this many link latencies of virtual time.
-GRANT_WINDOW_FACTOR = 64
-
-_Task = Tuple[TaskFrame, Optional[List[GrantFrame]]]
+#: One unit of pool work: ``(mode, spec dict, quick, sanitize, window_ns)``.
+Task = Tuple[str, Dict[str, object], bool, bool, Optional[int]]
 
 
-def _grants_for(spec: ScenarioSpec, lookahead_ns: int,
-                index: int) -> List[GrantFrame]:
-    """The grant schedule for one partition — a pure function of the
-    partition spec and the link latency.
-
-    Window ``k`` covers arrivals in ``[k·W + L, (k+1)·W + L)`` (window
-    0 additionally absorbs ``[0, L)``), with horizon ``(k+1)·W + L``:
-    the next window's earliest possible arrival, so a shard standing at
-    a horizon never sees an older packet.  Empty windows are skipped —
-    no cross-shard messages exist in them, so the horizon may jump.
-    """
-    from repro.scenario.build import make_packets
-
-    window_ns = GRANT_WINDOW_FACTOR * lookahead_ns
-    by_window: Dict[int, List[Dict[str, object]]] = {}
-    for packet in make_packets(spec):
-        k = max(0, (packet.arrival_ns - lookahead_ns) // window_ns)
-        by_window.setdefault(k, []).append(packet_to_frame(packet))
-    return [
-        GrantFrame(index=index, packets=by_window[k],
-                   horizon_ns=(k + 1) * window_ns + lookahead_ns)
-        for k in sorted(by_window)
-    ]
+class ShardError(RuntimeError):
+    """A partition failed in its worker, or its worker process died."""
 
 
-# ----------------------------------------------------------------------
-# The worker pool
-# ----------------------------------------------------------------------
+def registry_to_frame(registry) -> List[object]:
+    """A registry's instruments, plain values (collectors do not pickle)."""
+    return registry.instruments()
 
 
-@dataclass
-class _Slot:
-    """One worker process and its assigned partition queue."""
+def registry_from_frame(instruments: Sequence[Any]):
+    """A standalone registry of ``instruments``, ready for ``merge_from``."""
+    from repro.obs.metrics import Histogram, MetricsRegistry
 
-    proc: object
-    conn: object
-    queue: List[_Task] = field(default_factory=list)
-    grants: Optional[List[GrantFrame]] = None
-    pos: int = 0
-    active: Optional[int] = None
+    registry = MetricsRegistry()
+    for theirs in instruments:
+        # Re-mints an instrument tagged at its original mint site.
+        labels = dict(theirs.labels)
+        if isinstance(theirs, Histogram):
+            registry.histogram(  # snic: ignore[SNIC004]
+                theirs.name, bounds=theirs.bounds, **labels).merge(theirs)
+        else:
+            mint = getattr(registry, type(theirs).__name__.lower())
+            mint(theirs.name, **labels).value = theirs.value
+    return registry
 
 
-def _make_context():
-    import multiprocessing
+def _run_cell(spec: Dict[str, object], quick: bool, sanitize: bool,
+              _window_ns: Optional[int]) -> Dict[str, object]:
+    """One matrix partition.  Like ``run_cell`` it never raises: a
+    scenario error becomes an error result."""
+    from repro.analysis.isosan import sanitized
+    from repro.hw import events as hw_events
+    from repro.obs import metrics, tracer
+    from repro.obs.bench import _isolate, jsonable
+    from repro.scenario.build import build_scenario
 
+    data: Dict[str, Any] = {"status": "ok"}
+    _isolate()
     try:
-        # fork is cheap here: the parent already imported everything.
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context()
+        with sanitized() if sanitize else contextlib.nullcontext():
+            with build_scenario(ScenarioSpec.from_dict(spec)) as built:
+                data["outputs"] = jsonable(built.drive(quick=quick))
+                data["latencies"] = sorted(
+                    t.latency_ns for t in built.runtime.stats.timings)
+    except Exception:
+        data.update(status="error", error=traceback.format_exc(limit=8),
+                    latencies=[])
+    finally:
+        data["kernel"] = hw_events.kernel_stats()
+        data["trace_events"] = len(tracer.get_tracer().events)
+        data["registry"] = registry_to_frame(metrics.get_registry())
+        _isolate()
+    return data
 
 
-def _start_next(slot: _Slot) -> None:
-    if not slot.queue:
-        slot.active = None
-        return
-    task, grants = slot.queue.pop(0)
-    slot.active = task.index
-    slot.grants = grants
-    slot.pos = 0
-    slot.conn.send(task)
-    if grants is not None:
-        _send_next_grant(slot)
+def _run_slo(spec: Dict[str, object], quick: bool, sanitize: bool,
+             window_ns: int) -> Dict[str, object]:
+    from repro.obs import scorecard
+
+    return scorecard.run_spec(ScenarioSpec.from_dict(spec), quick=quick,
+                              sanitize=sanitize, window_ns=window_ns)
 
 
-def _send_next_grant(slot: _Slot) -> None:
-    assert slot.grants is not None
-    if slot.pos < len(slot.grants):
-        slot.conn.send(slot.grants[slot.pos])
-        slot.pos += 1
-    else:
-        slot.conn.send(FinishFrame(index=slot.active))
+def _run_bench(spec: Dict[str, object], quick: bool, _sanitize: bool,
+               _window_ns: Optional[int]) -> Dict[str, object]:
+    from pathlib import Path
+
+    from repro.obs.bench import run_scenario
+
+    return run_scenario(Path(str(spec["path"])), quick=quick,
+                        capture=bool(spec["capture"])).as_dict()
 
 
-def run_sharded_partitions(tasks: Sequence[_Task],
-                           workers: int = 1) -> Dict[int, Dict[str, object]]:
-    """Execute ``tasks`` on a pool of ``workers`` processes.
+_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
+    "cell": _run_cell, "slo": _run_slo, "bench": _run_bench}
 
-    Returns ``{partition_index: result_data}`` — complete for every
-    task, whatever the worker count, or raises :class:`ShardError` on a
-    worker-level failure.  Partition ``i`` goes to worker ``i % W``;
-    each worker runs its partitions sequentially while the engine
-    multiplexes the ack/grant conversations across all pipes.
-    """
+
+def _run_task(mode: str, *args) -> Dict[str, object]:
+    if mode not in _RUNNERS:
+        raise ValueError(f"unknown shard mode {mode!r}")
+    return _RUNNERS[mode](*args)
+
+
+def run_sharded_partitions(tasks: Sequence[Task],
+                           workers: int = 1) -> List[Dict[str, Any]]:
+    """Run ``tasks`` on ``workers`` forked processes; results in task
+    order.  Runners reset process-global state first, so which process
+    ran a task never shows.  A task that raises, or whose process dies,
+    raises :class:`ShardError` naming its index."""
     if not tasks:
-        return {}
-    n_workers = max(1, min(int(workers), len(tasks)))
-    ctx = _make_context()
-    slots: List[_Slot] = []
-    results: Dict[int, Dict[str, object]] = {}
-    # Forked workers inherit the parent heap copy-on-write.  Any garbage
-    # the parent accumulated (say, a monolithic run of the same spec)
-    # would be traversed by every worker's collector, faulting those
-    # shared pages into private copies and erasing the scale-out win —
-    # so drop the garbage now and pin the survivors in the permanent
-    # generation for the fork.
+        return []
+    # Forked workers share the parent heap copy-on-write: freeze it, or
+    # their collectors fault those pages into private copies.  Fork also
+    # carries an open ``sanitized()`` scope into the workers.
     gc.collect()
     gc.freeze()
+    pool = ProcessPoolExecutor(max_workers=max(1, min(workers, len(tasks))),
+                               mp_context=multiprocessing.get_context("fork"))
     try:
-        for w in range(n_workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(target=worker_main, args=(child_conn,),
-                               daemon=True)
-            proc.start()
-            child_conn.close()
-            slots.append(_Slot(proc=proc, conn=parent_conn,
-                               queue=[tasks[i] for i in
-                                      range(w, len(tasks), n_workers)]))
-        for slot in slots:
-            _start_next(slot)
-        by_conn = {slot.conn: slot for slot in slots}
-        while True:
-            active = [slot.conn for slot in slots
-                      if slot.active is not None]
-            if not active:
-                break
-            for conn in connection.wait(active):
-                slot = by_conn[conn]
-                try:
-                    frame = conn.recv()
-                except EOFError as exc:
-                    raise ShardError(
-                        f"shard worker died while running partition "
-                        f"{slot.active}") from exc
-                if isinstance(frame, AckFrame):
-                    _send_next_grant(slot)
-                elif isinstance(frame, ResultFrame):
-                    results[frame.index] = frame.data
-                    _start_next(slot)
-                elif isinstance(frame, ErrorFrame):
-                    raise ShardError(
-                        f"partition {frame.index} failed in its "
-                        f"worker:\n{frame.traceback}")
-                else:
-                    raise ShardProtocolError(
-                        f"unexpected frame {type(frame).__name__} "
-                        f"from a worker")
+        futures = [pool.submit(_run_task, *task) for task in tasks]
+        results = []
+        for index, future in enumerate(futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                raise ShardError(f"partition {index}: its worker process "
+                                 f"died before returning") from exc
+            except Exception as exc:
+                raise ShardError(f"partition {index} failed in its "
+                                 f"worker: {exc!r}") from exc
+        return results
     finally:
+        pool.shutdown(wait=True, cancel_futures=True)
         gc.unfreeze()
-        for slot in slots:
-            try:
-                slot.conn.send(ShutdownFrame())
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
-            slot.proc.join(timeout=10)
-            if slot.proc.is_alive():  # pragma: no cover - hang backstop
-                slot.proc.terminate()
-    missing = [i for i in range(len(tasks)) if i not in results]
-    if missing:
-        raise ShardError(f"partitions {missing} returned no result")
-    return results
 
 
-# ----------------------------------------------------------------------
-# Matrix cells
-# ----------------------------------------------------------------------
-
-
-def _merged_percentile(latencies: List[int], q: float) -> float:
-    """``RuntimeStats.latency_percentile`` over the merged population."""
-    if not latencies:
-        return 0.0
-    index = min(len(latencies) - 1, int(q / 100.0 * len(latencies)))
-    return float(latencies[index])
-
-
-def _merge_cell_results(spec: ScenarioSpec,
-                        parts: List[ScenarioSpec],
-                        results: Dict[int, Dict[str, object]]):
-    """Recombine per-partition cell results into one BenchRecord.
-
-    Additive fields sum; the global victim's fields come from partition
-    0 (contiguous chunking keeps the spec's first tenant there);
-    latency percentiles are recomputed over the merged latency
-    population; metric families fold through
-    ``MetricsRegistry.merge_from``/``Histogram.merge`` in partition
-    index order.
-    """
-    from repro.obs.bench import BenchRecord, _histogram_percentiles, jsonable
+def _merge_cell_results(spec: ScenarioSpec, results: List[Dict[str, Any]]):
+    """Fold per-partition cell results into one BenchRecord: tallies
+    sum, percentiles are recomputed over the merged population, and the
+    victim's fields come from partition 0 (the spec's first tenant)."""
+    from repro.obs.bench import BenchRecord, _histogram_percentiles
     from repro.obs.metrics import MetricsRegistry
 
     record = BenchRecord(name=spec.name)
-    merged_registry = MetricsRegistry()
+    registry = MetricsRegistry()
     latencies: List[int] = []
-    outputs_by_part: List[Optional[Dict[str, object]]] = []
-    error: Optional[str] = None
-    for i in range(len(parts)):
-        data = results[i]
-        merged_registry.merge_from(registry_from_frame(data["registry"]))
-        kernel = data["kernel"]
-        record.sim_time_ns += int(kernel["sim_ns_advanced"])
-        record.events_executed += int(kernel["events_executed"])
-        record.trace_events += len(data["trace_events"])
+    for data in results:
+        registry.merge_from(registry_from_frame(data["registry"]))
+        record.sim_time_ns += int(data["kernel"]["sim_ns_advanced"])
+        record.events_executed += int(data["kernel"]["events_executed"])
+        record.trace_events += int(data["trace_events"])
         latencies.extend(data["latencies"])
-        outputs_by_part.append(data.get("outputs"))
-        if data["status"] != "ok" and error is None:
-            error = data.get("error")
-    record.metrics_instruments = len(merged_registry)
-    record.histograms = _histogram_percentiles(merged_registry)
-    if error is not None:
+    record.metrics_instruments = len(registry)
+    record.histograms = _histogram_percentiles(registry)
+    errors = [data["error"] for data in results if data["status"] != "ok"]
+    if errors:
         record.status = "error"
-        record.error = error
+        record.error = errors[0]
         return record
     latencies.sort()
-    first = outputs_by_part[0] or {}
-    per_tenant: Dict[str, int] = {}
-    for i, part in enumerate(parts):
-        part_outputs = outputs_by_part[i] or {}
-        completed = part_outputs.get("per_tenant_completed", {})
-        for tenant in part.tenants:
-            per_tenant[tenant.name] = int(completed.get(tenant.name, 0))
-
-    def _total(key: str) -> float:
-        return sum(float((outputs_by_part[i] or {}).get(key, 0) or 0)
-                   for i in range(len(parts)))
-
-    outputs: Dict[str, object] = {
-        "scenario": spec.name,
-        "seed": spec.seed,
-        "nic_model": spec.topology.nic_model,
-        "arbiter": spec.topology.arbiter.policy,
-        "tenant_count": len(spec.tenants),
-        "fault_class": spec.fault.kind if spec.fault else "none",
-        "packets_completed": int(_total("packets_completed")),
-        "packets_dropped": int(_total("packets_dropped")),
-        "latency_p50_ns": _merged_percentile(latencies, 50),
-        "latency_p99_ns": _merged_percentile(latencies, 99),
-        "per_tenant_completed": per_tenant,
-        "victim_completed": int(first.get("victim_completed", 0)),
-        "bus_wait_ns_victim": float(first.get("bus_wait_ns_victim", 0.0)),
-        "dma_wait_ns_victim": float(first.get("dma_wait_ns_victim", 0.0)),
-        "dram_wait_ns_victim": float(
-            first.get("dram_wait_ns_victim", 0.0)),
-        "dma_retries_exhausted": int(_total("dma_retries_exhausted")),
-        "cross_tenant_wait_ns": _total("cross_tenant_wait_ns"),
-        "faults_injected": int(_total("faults_injected")),
-    }
-    record.outputs = jsonable(outputs)
+    parts = [data["outputs"] for data in results]
+    outputs = dict(parts[0])
+    outputs.update(
+        scenario=spec.name,
+        seed=spec.seed,
+        tenant_count=len(spec.tenants),
+        fault_class=spec.fault.kind if spec.fault else "none",
+        latency_p50_ns=percentile(latencies, 50),
+        latency_p99_ns=percentile(latencies, 99),
+        per_tenant_completed={
+            name: count for part in parts
+            for name, count in part["per_tenant_completed"].items()},
+        cross_tenant_wait_ns=sum(
+            float(part["cross_tenant_wait_ns"]) for part in parts))
+    for key in ("packets_completed", "packets_dropped",
+                "dma_retries_exhausted", "faults_injected"):
+        outputs[key] = sum(int(part[key]) for part in parts)
+    record.outputs = outputs
     return record
 
 
 def run_cell_sharded(cell, quick: bool = False, sanitize: bool = False,
                      workers: int = 1,
                      spec: Optional[ScenarioSpec] = None):
-    """The sharded counterpart of :func:`repro.scenario.matrix.run_cell`.
-
-    Splits the cell's spec by its partition plan, runs the partitions
-    on ``workers`` processes, and merges deterministically.  Returns a
-    :class:`~repro.obs.bench.BenchRecord`; worker-level failures (as
-    opposed to in-partition scenario errors, which become error
-    records) raise :class:`ShardError`.
-    """
+    """The sharded counterpart of :func:`repro.scenario.matrix.run_cell`:
+    a fleet of independent NICs, one per partition, merged into one
+    :class:`~repro.obs.bench.BenchRecord`."""
     from repro.scenario.matrix import cell_spec
 
     if spec is None:
         spec = cell_spec(cell, quick=quick)
-    parts = partition_specs(spec)
-    lookahead = link_latency_ns(spec)
-    tasks: List[_Task] = [
-        (TaskFrame(index=i, spec=part.to_dict(), mode="cell",
-                   quick=quick, sanitize=sanitize),
-         _grants_for(part, lookahead, i))
-        for i, part in enumerate(parts)
-    ]
-    results = run_sharded_partitions(tasks, workers=workers)
-    return _merge_cell_results(spec, parts, results)
-
-
-# ----------------------------------------------------------------------
-# SLO scorecard
-# ----------------------------------------------------------------------
+    results = run_sharded_partitions(
+        [("cell", part.to_dict(), quick, sanitize, None)
+         for part in partition_specs(spec)],
+        workers=workers)
+    return _merge_cell_results(spec, results)
 
 
 def _merge_slo_results(spec: ScenarioSpec,
-                       parts: List[ScenarioSpec],
-                       results: Dict[int, Dict[str, object]],
-                       ) -> Dict[str, object]:
-    """Recombine per-partition scorecard blocks in partition order.
+                       blocks: List[Dict[str, Any]]) -> Dict[str, object]:
+    """Fold per-partition scorecard blocks: rows and alerts concatenate
+    back into spec order, tallies sum, and the audit verdict is the
+    conjunction of the partition chains."""
+    def total(key: str, cast=int):
+        return sum(cast(block[key]) for block in blocks)
 
-    Tenant rows concatenate back into original spec order (contiguous
-    chunking), alerts concatenate, pass/fail/window/audit tallies sum,
-    and the audit verdict is the conjunction — one broken shard chain
-    breaks the merged chain.
-    """
-    blocks = [results[i]["slo"] for i in range(len(parts))]
-    tenants: List[Dict[str, object]] = []
-    alerts: List[Dict[str, object]] = []
-    for block in blocks:
-        tenants.extend(block["tenants"])
-        alerts.extend(block["alerts"])
     return {
         "spec": spec.name,
         "arbiter": spec.topology.arbiter.policy,
         "n_tenants": len(spec.tenants),
-        "partitions": len(parts),
-        "windows": sum(int(b["windows"]) for b in blocks),
-        "packets_completed": sum(
-            int(b["packets_completed"]) for b in blocks),
-        "packets_dropped": sum(int(b["packets_dropped"]) for b in blocks),
-        "cross_tenant_wait_ns": sum(
-            float(b["cross_tenant_wait_ns"]) for b in blocks),
-        "tenants": tenants,
-        "alerts": alerts,
-        "n_pass": sum(int(b["n_pass"]) for b in blocks),
-        "n_fail": sum(int(b["n_fail"]) for b in blocks),
-        "audit": {
-            "records": sum(int(b["audit"]["records"]) for b in blocks),
-            "chain_ok": all(b["audit"]["chain_ok"] for b in blocks),
-        },
+        "partitions": len(blocks),
+        "windows": total("windows"),
+        "packets_completed": total("packets_completed"),
+        "packets_dropped": total("packets_dropped"),
+        "cross_tenant_wait_ns": total("cross_tenant_wait_ns", float),
+        "tenants": [row for block in blocks for row in block["tenants"]],
+        "alerts": [alert for block in blocks for alert in block["alerts"]],
+        "n_pass": total("n_pass"),
+        "n_fail": total("n_fail"),
+        "audit": {"records": sum(int(b["audit"]["records"]) for b in blocks),
+                  "chain_ok": all(b["audit"]["chain_ok"] for b in blocks)},
     }
 
 
@@ -381,131 +236,49 @@ def run_scorecard_sharded(n_tenants: int = 128, seed: int = 7,
                           window_ns: Optional[int] = None,
                           workers: int = 1) -> Dict[str, object]:
     """The sharded counterpart of
-    :func:`repro.obs.scorecard.run_scorecard`.
-
-    Every arbiter cell is partitioned by its spec's shard plan and
-    merged back; the report carries the partition count (a property of
-    the spec) but never the worker count.
-    """
+    :func:`repro.obs.scorecard.run_scorecard`.  The report carries the
+    partition count (a property of the spec), never the worker count."""
     from repro.obs.scorecard import (
         DEFAULT_ARBITERS,
         DEFAULT_WINDOW_NS,
-        SCHEMA,
-        SCHEMA_VERSION,
         make_scorecard_spec,
+        scorecard_report,
     )
 
-    arbiters = tuple(arbiters) if arbiters else DEFAULT_ARBITERS
     window_ns = window_ns if window_ns is not None else DEFAULT_WINDOW_NS
     results: Dict[str, Dict[str, object]] = {}
     partitions = 0
-    lookahead = 0
-    for arbiter in arbiters:
+    for arbiter in arbiters or DEFAULT_ARBITERS:
         spec = make_scorecard_spec(arbiter, n_tenants, seed, quick=quick)
-        parts = partition_specs(spec)
         partitions = effective_partitions(spec)
-        lookahead = link_latency_ns(spec)
-        tasks: List[_Task] = [
-            (TaskFrame(index=i, spec=part.to_dict(), mode="slo",
-                       quick=quick, sanitize=sanitize,
-                       window_ns=window_ns),
-             _grants_for(part, lookahead, i))
-            for i, part in enumerate(parts)
-        ]
-        part_results = run_sharded_partitions(tasks, workers=workers)
-        results[arbiter] = _merge_slo_results(spec, parts, part_results)
-    return {
-        "schema": SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "mode": "quick" if quick else "full",
-        "seed": seed,
-        "n_tenants": n_tenants,
-        "window_ns": window_ns,
-        "isosan_active": bool(sanitize),
-        "sharded": {
-            "partitions": partitions,
-            "link_latency_ns": lookahead,
-        },
-        "arbiters": results,
-        "summary": [
-            {
-                "arbiter": arbiter,
-                "n_pass": result["n_pass"],
-                "n_fail": result["n_fail"],
-                "pages": sum(1 for a in result["alerts"]
-                             if a["tier"] == "page"),
-                "tickets": sum(1 for a in result["alerts"]
-                               if a["tier"] == "ticket"),
-                "cross_tenant_wait_ns":
-                    round(float(result["cross_tenant_wait_ns"]), 3),
-                "packets_completed": result["packets_completed"],
-            }
-            for arbiter, result in results.items()
-        ],
-    }
-
-
-# ----------------------------------------------------------------------
-# Benchmarks
-# ----------------------------------------------------------------------
+        blocks = run_sharded_partitions(
+            [("slo", part.to_dict(), quick, sanitize, window_ns)
+             for part in partition_specs(spec)],
+            workers=workers)
+        results[arbiter] = _merge_slo_results(spec, blocks)
+    report = scorecard_report(results, n_tenants=n_tenants, seed=seed,
+                              quick=quick, sanitize=sanitize,
+                              window_ns=window_ns)
+    report["sharded"] = {"partitions": partitions}
+    return report
 
 
 def run_benchmarks_sharded(bench_dir=None, quick: bool = False,
                            only: Optional[Sequence[str]] = None,
                            capture: bool = True, progress=None,
                            workers: int = 1) -> Dict[str, object]:
-    """The sharded counterpart of
-    :func:`repro.obs.bench.run_benchmarks`.
+    """The sharded counterpart of :func:`repro.obs.bench.run_benchmarks`:
+    one pool task per bench script, records in discovery order."""
+    from repro.obs import bench
 
-    Bench scripts own their whole simulation, so there is no grant
-    phase — scripts are dealt round-robin to the worker pool and the
-    artifact reassembles the records in discovery order (sim-side
-    fields are worker-count invariant; wall times are measurements and
-    were never part of any byte-identity contract).
-    """
-    import platform
-
-    import repro
-    from repro.obs import bench as bench_mod
-
-    paths = bench_mod.discover(bench_dir)
-    if only:
-        paths = [p for p in paths
-                 if any(pat in bench_mod.scenario_name(p) for pat in only)]
-    tasks: List[_Task] = [
-        (TaskFrame(index=i, spec={"path": str(path), "capture": capture},
-                   mode="bench", quick=quick),
-         None)
-        for i, path in enumerate(paths)
-    ]
     started = time.perf_counter()
-    results = run_sharded_partitions(tasks, workers=workers)
-    records = []
-    for i in range(len(paths)):
-        record = bench_mod.BenchRecord(**results[i]["record"])
-        records.append(record)
+    results = run_sharded_partitions(
+        [("bench", {"path": str(path), "capture": capture}, quick, False,
+          None) for path in bench.discover(bench_dir, only)],
+        workers=workers)
+    records = [bench.BenchRecord(**data) for data in results]
+    for record in records:
         if progress is not None:
             progress(record)
-    return {
-        "schema": bench_mod.SCHEMA,
-        "schema_version": bench_mod.SCHEMA_VERSION,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "repro_version": getattr(repro, "__version__", "unknown"),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "quick": quick,
-        "n_benchmarks": len(records),
-        "n_ok": sum(1 for r in records if r.status == "ok"),
-        "n_error": sum(1 for r in records if r.status == "error"),
-        "total_wall_s": time.perf_counter() - started,
-        "benchmarks": {r.name: r.as_dict() for r in records},
-    }
+    return bench.bench_artifact(records, quick, started)
 
-
-__all__ = [
-    "GRANT_WINDOW_FACTOR",
-    "run_benchmarks_sharded",
-    "run_cell_sharded",
-    "run_scorecard_sharded",
-    "run_sharded_partitions",
-]

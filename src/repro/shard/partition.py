@@ -1,12 +1,10 @@
 """The partition plan: split one scenario into per-shard sub-scenarios.
 
-The plan is a **pure function of the spec** — ``ShardSpec.partitions``
-pins how many NIC/tenant shards a scenario decomposes into, and every
-derived quantity (sub-spec seeds, tenant chunks, per-partition traffic
-volumes) depends only on the spec and the partition index.  The
-``--shards N`` worker count never appears here; that is the whole
-byte-identity argument: any worker pool executes the *same* partitions
-and the merger folds them in partition-index order.
+The plan is a **pure function of the spec**: ``ShardSpec.partitions``
+pins how many independent NICs a scenario splits into, and sub-spec
+seeds, tenant chunks and traffic shares depend only on the spec and
+the partition index.  The ``--shards N`` worker count never appears
+here, which is the whole byte-identity argument.
 
 Tenants are chunked contiguously in spec order (chunk sizes differ by
 at most one), so the concatenation of per-partition tenant rows equals
@@ -19,12 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List
 
-from repro.scenario.spec import (
-    ScenarioSpec,
-    ShardSpec,
-    SpecError,
-    derive_seed,
-)
+from repro.scenario.spec import ScenarioSpec, ShardSpec, SpecError, derive_seed
 
 
 def effective_partitions(spec: ScenarioSpec) -> int:
@@ -37,68 +30,36 @@ def effective_partitions(spec: ScenarioSpec) -> int:
     return max(1, min(shard.partitions, max(1, len(spec.tenants))))
 
 
-def _tenant_chunks(n_tenants: int, n_parts: int) -> List[range]:
-    """Contiguous index ranges whose sizes differ by at most one."""
-    base, rem = divmod(n_tenants, n_parts)
-    chunks: List[range] = []
-    start = 0
-    for i in range(n_parts):
-        size = base + (1 if i < rem else 0)
-        chunks.append(range(start, start + size))
-        start += size
-    return chunks
-
-
-def _split_packets(total: int, sizes: List[int]) -> List[int]:
-    """Deterministic proportional split of the offered load.
-
-    Cumulative floor rule: partition ``i`` gets
-    ``floor(total * C_i / W) - floor(total * C_{i-1} / W)`` where
-    ``C_i`` is the cumulative tenant weight — the shares sum to
-    ``total`` exactly, with no rounding drift for any partition count.
-    """
-    weight = sum(sizes)
-    if weight == 0:
-        return [0] * len(sizes)
-    shares: List[int] = []
-    cumulative = 0
-    prev = 0
-    for size in sizes:
-        cumulative += size
-        edge = total * cumulative // weight
-        shares.append(edge - prev)
-        prev = edge
-    return shares
-
-
 def partition_specs(spec: ScenarioSpec) -> List[ScenarioSpec]:
     """The partition plan: one self-contained sub-spec per shard.
 
-    Each partition carries its contiguous tenant chunk, a
-    proportionally scaled topology (cores exactly, DRAM/L2 with fixed
+    Each partition is its own smaller NIC: its contiguous tenant chunk,
+    a proportionally scaled topology (cores exactly, DRAM/L2 with fixed
     OS headroom), its share of the offered load on a *compressed*
-    arrival schedule (same inter-arrival period, fewer packets — the
-    per-partition horizon shrinks with the tenant count, which is where
-    the shard scale-out speedup comes from), and the fault burst iff
-    its chunk contains the fault's target tenant.  Sub-spec seeds
-    derive from the parent seed via the standard ``derive_seed`` chain.
+    arrival schedule (same inter-arrival period, fewer packets), and
+    the fault burst iff its chunk contains the fault's target tenant.
+    No contention crosses partitions.  Sub-spec seeds derive from the
+    parent seed via the standard ``derive_seed`` chain.
     """
     n_parts = effective_partitions(spec)
     if not spec.tenants:
         raise SpecError(
             f"scenario {spec.name!r} has no tenants to partition")
     n_total = len(spec.tenants)
-    chunks = _tenant_chunks(n_total, n_parts)
-    sizes = [len(c) for c in chunks]
-    packet_shares = _split_packets(spec.traffic.n_packets, sizes)
+    # Contiguous tenant chunks whose sizes differ by at most one, and
+    # each chunk's share of the offered load by the cumulative floor
+    # rule: the shares sum to ``n_packets`` exactly, with no drift.
+    base, rem = divmod(n_total, n_parts)
+    edges = [i * base + min(i, rem) for i in range(n_parts + 1)]
+    packet_edges = [spec.traffic.n_packets * e // n_total for e in edges]
 
     fault_target = None
     if spec.fault is not None:
         fault_target = spec.fault.tenant or spec.tenants[-1].name
 
     parts: List[ScenarioSpec] = []
-    for index, chunk in enumerate(chunks):
-        tenants = tuple(spec.tenants[i] for i in chunk)
+    for index in range(n_parts):
+        tenants = tuple(spec.tenants[edges[index]:edges[index + 1]])
         names = {t.name for t in tenants}
         topo = spec.topology
         l2_ways = None
@@ -117,7 +78,8 @@ def partition_specs(spec: ScenarioSpec) -> List[ScenarioSpec]:
             dram_mb=dram_mb,
             l2_ways=l2_ways,
         )
-        traffic = replace(spec.traffic, n_packets=packet_shares[index])
+        traffic = replace(spec.traffic, n_packets=packet_edges[index + 1]
+                          - packet_edges[index])
         fault = spec.fault if fault_target in names else None
         parts.append(ScenarioSpec(
             name=f"{spec.name}#p{index}",
@@ -134,14 +96,4 @@ def partition_specs(spec: ScenarioSpec) -> List[ScenarioSpec]:
     return parts
 
 
-def link_latency_ns(spec: ScenarioSpec) -> int:
-    """The fabric link latency — the protocol's conservative lookahead."""
-    shard = spec.shard if spec.shard is not None else ShardSpec()
-    return shard.link_latency_ns
-
-
-__all__ = [
-    "effective_partitions",
-    "link_latency_ns",
-    "partition_specs",
-]
+__all__ = ["effective_partitions", "partition_specs"]

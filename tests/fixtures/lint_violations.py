@@ -129,11 +129,3 @@ def flight_snapshot_stamp(entries):
     # SNIC008: wall-clock read in forensics-scoped code — post-mortem
     # bundles must be byte-identical across same-seed runs.
     return {"captured": time.time(), "n": len(entries)}
-
-
-def shard_result_push(conn, ResultFrame, built):
-    # SNIC011: live simulation objects crossing a shard boundary — the
-    # registry through the frame constructor, the runtime through the
-    # pipe directly.  Frames carry serialized payloads only.
-    conn.send(ResultFrame(index=0, data={"metrics": registry}))
-    conn.send(built.runtime)

@@ -203,7 +203,7 @@ class TestRegistryMergeProperties:
     def test_shard_frame_round_trip_composes_with_merge(self, seed, k):
         """The end-to-end shard path: serialize each shard registry to
         a frame, rebuild, fold — equals folding the originals."""
-        from repro.shard.frames import registry_from_frame, registry_to_frame
+        from repro.shard.engine import registry_from_frame, registry_to_frame
 
         rng = random.Random(seed)
         shards = random_partition(rng, random_values(rng, 250), k)

@@ -1,5 +1,5 @@
-"""The repro.shard subsystem: partition plan, message frames, and the
-worker-count-invariant engine.
+"""The repro.shard subsystem: partition plan, process pool, and the
+worker-count-invariant merge.
 
 The headline contract under test: for a fixed seed, a sharded run's
 merged report is byte-identical for ANY worker count — the partition
@@ -10,31 +10,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.scenario.matrix import cell_spec, default_axes, expand, load_spec
 from repro.scenario.spec import ScenarioSpec, ShardSpec, SpecError
+from repro.shard import engine
 from repro.shard.engine import (
-    _grants_for,
+    ShardError,
+    registry_from_frame,
+    registry_to_frame,
     run_cell_sharded,
     run_scorecard_sharded,
     run_sharded_partitions,
 )
-from repro.shard.frames import (
-    ShardError,
-    TaskFrame,
-    packet_from_frame,
-    packet_to_frame,
-    registry_from_frame,
-    registry_to_frame,
-)
-from repro.shard.partition import (
-    effective_partitions,
-    link_latency_ns,
-    partition_specs,
-)
+from repro.shard.partition import effective_partitions, partition_specs
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
@@ -49,34 +41,54 @@ def quick_cell(index: int = 0):
 
 class TestShardSpec:
     def test_defaults(self):
-        shard = ShardSpec()
-        assert shard.partitions == 4
-        assert shard.link_latency_ns == 800
+        assert ShardSpec().partitions == 4
 
     @pytest.mark.parametrize("kwargs", [
         {"partitions": 0},
         {"partitions": -1},
         {"partitions": True},
         {"partitions": 2.0},
-        {"link_latency_ns": 0},
-        {"link_latency_ns": False},
+        {"partitions": "3"},
+        {"partitions": None},
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(SpecError):
             ShardSpec(**kwargs)
 
     def test_round_trip(self):
-        shard = ShardSpec(partitions=8, link_latency_ns=1200)
+        shard = ShardSpec(partitions=8)
         assert ShardSpec.from_dict(shard.to_dict()) == shard
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SpecError):
             ShardSpec.from_dict({"partitions": 2, "workers": 4})
 
+    def test_retired_link_latency_field_rejected(self):
+        with pytest.raises(SpecError, match="unknown ShardSpec fields"):
+            ShardSpec.from_dict({"partitions": 2, "link_latency_ns": 800})
+
+    @pytest.mark.parametrize("partitions", [2.7, True, "3", "abc", None],
+                             ids=["float", "bool", "numeric-str", "str",
+                                  "null"])
+    @pytest.mark.parametrize("fmt", ["json", "yaml"])
+    def test_spec_files_reject_uncoerced_partitions(self, tmp_path, fmt,
+                                                    partitions):
+        data = cell_spec(quick_cell(), quick=True).to_dict()
+        data["shard"] = {"partitions": partitions}
+        path = tmp_path / f"spec.{fmt}"
+        if fmt == "yaml":
+            yaml = pytest.importorskip("yaml")
+            path.write_text(yaml.safe_dump(data))
+        else:
+            path.write_text(json.dumps(data))
+        with pytest.raises(SpecError, match="partitions must be an int"):
+            load_spec(str(path))
+        with pytest.raises(SpecError, match="partitions must be an int"):
+            ScenarioSpec.from_dict(data)
+
     def test_scenario_spec_round_trips_shard_block(self):
         spec = cell_spec(quick_cell(), quick=True)
-        sharded = dataclasses.replace(
-            spec, shard=ShardSpec(partitions=2, link_latency_ns=900))
+        sharded = dataclasses.replace(spec, shard=ShardSpec(partitions=2))
         again = ScenarioSpec.from_dict(sharded.to_dict())
         assert again.shard == sharded.shard
         # Absent block stays absent.
@@ -135,44 +147,15 @@ class TestPartitionPlan:
             ScenarioSpec.from_dict(part.to_dict())  # re-validates
             assert part.shard is None  # no recursive decomposition
 
-    def test_grants_respect_lookahead_windows(self):
-        spec = partition_specs(cell_spec(quick_cell(), quick=True))[0]
-        lookahead = link_latency_ns(cell_spec(quick_cell(), quick=True))
-        grants = _grants_for(spec, lookahead, 0)
-        assert grants, "expected at least one grant window"
-        previous_horizon = 0
-        for grant in grants:
-            assert grant.horizon_ns > previous_horizon
-            for entry in grant.packets:
-                # No packet may arrive after its grant's horizon (it
-                # would be an event in some shard's future)...
-                assert entry["arrival_ns"] < grant.horizon_ns
-                # ...nor before the previous horizon (an event in the
-                # shard's past).
-                assert entry["arrival_ns"] >= previous_horizon
-            previous_horizon = grant.horizon_ns
-
 
 # ----------------------------------------------------------------------
-# Frames: everything crossing the boundary is plain data
+# Frames: metrics cross the process boundary as plain data
 # ----------------------------------------------------------------------
 
 class TestFrames:
-    def test_packet_round_trip_keeps_sideband_fields(self):
-        from repro.net.packet import Packet
-
-        packet = Packet.make("10.0.0.1", "10.0.1.9", src_port=4001,
-                             dst_port=80, payload=b"x" * 64)
-        packet.arrival_ns = 12_345
-        packet.vni = 7
-        frame = packet_to_frame(packet)
-        assert isinstance(frame["raw"], bytes)
-        again = packet_from_frame(frame)
-        assert again.arrival_ns == 12_345
-        assert again.vni == 7
-        assert again.to_bytes() == packet.to_bytes()
-
     def test_registry_round_trip_preserves_instruments(self):
+        import pickle
+
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
@@ -181,14 +164,10 @@ class TestFrames:
         hist = registry.histogram("lat_ns", tenant="t1")
         for value in (10.0, 200.0, 3000.0):
             hist.observe(value)
-        again = registry_from_frame(registry_to_frame(registry))
+        registry.register_collector(lambda: [])  # process-local: stays
+        frame = pickle.loads(pickle.dumps(registry_to_frame(registry)))
+        again = registry_from_frame(frame)
         assert again.snapshot() == registry.snapshot()
-
-    def test_frames_pickle_cleanly(self):
-        import pickle
-
-        task = TaskFrame(index=1, spec={"name": "x"}, mode="cell")
-        assert pickle.loads(pickle.dumps(task)) == task
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +204,20 @@ class TestEngineInvariance:
 
     def test_unknown_mode_raises_shard_error(self):
         spec = partition_specs(cell_spec(quick_cell(), quick=True))[0]
-        task = TaskFrame(index=0, spec=spec.to_dict(), mode="bogus")
-        with pytest.raises(ShardError):
-            run_sharded_partitions([(task, None)], workers=1)
+        with pytest.raises(ShardError, match="partition 0 failed") as info:
+            run_sharded_partitions(
+                [("bogus", spec.to_dict(), True, False, None)], workers=1)
+        assert "unknown shard mode 'bogus'" in str(info.value)
+
+    def test_dead_worker_raises_shard_error(self, monkeypatch):
+        # Workers fork after the patch, so they inherit the dying runner.
+        monkeypatch.setitem(engine._RUNNERS, "die",
+                            lambda *_args: os._exit(3))
+        spec = partition_specs(cell_spec(quick_cell(), quick=True))[0]
+        tasks = [("die", spec.to_dict(), True, False, None)] * 2
+        with pytest.raises(ShardError, match=r"partition 0: its worker "
+                                             r"process died"):
+            run_sharded_partitions(tasks, workers=2)
 
     def test_checker_asserts_shard_invariance(self):
         from repro.analysis.determinism import check_shard_invariance
@@ -253,7 +243,7 @@ class TestYamlSpecs:
     def test_example_yaml_spec_carries_shard_block(self):
         pytest.importorskip("yaml")
         spec = load_spec(str(EXAMPLES / "shard_scenario.yaml"))
-        assert spec.shard == ShardSpec(partitions=2, link_latency_ns=800)
+        assert spec.shard == ShardSpec(partitions=2)
         assert effective_partitions(spec) == 2
 
     def test_non_mapping_yaml_is_rejected(self, tmp_path):
