@@ -13,7 +13,7 @@ cross-tenant attributed wait are exactly zero (the tenant is).
 
 from _common import bench_main, print_table
 
-from repro.faults.chaos import run_chaos
+from repro.faults.chaos import blast_radius, run_chaos
 
 
 def compute_matrix(quick=False, seed=0):
@@ -24,8 +24,7 @@ def compute_matrix(quick=False, seed=0):
         commodity = entry["commodity"]["disruption_total"]
         snic = entry["snic"]["disruption_total"]
         cross = entry["snic"]["cross_tenant_wait_ns"]
-        blast = "tenant" if (snic == 0.0 and cross == 0.0) else "DEVICE"
-        rows.append((kind_name, commodity, snic, cross, blast))
+        rows.append((kind_name, commodity, snic, cross, blast_radius(entry)))
     return report, rows
 
 

@@ -14,9 +14,10 @@ Three layers (growing upward from the plan):
   bounded-backoff DMA retry, scrub-verified NF restart, and the
   commodity power-cycle degradation model.
 
-:mod:`repro.faults.chaos` drives all three as a differential experiment
-(commodity vs S-NIC per fault class) and renders the blast-radius
-report behind ``python -m repro chaos``.
+:mod:`repro.faults.differential` is the harness both isolation studies
+run on (legs, injector scope, forensics, rendering, CLI);
+:mod:`repro.faults.chaos` drives the three layers through it as the
+blast-radius study behind ``python -m repro chaos``.
 """
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan

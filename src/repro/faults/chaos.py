@@ -4,8 +4,9 @@ For every fault class in the taxonomy this module runs the same
 two-tenant workload four times — {commodity, S-NIC} x {clean, faulted}
 — with the fault always injected into tenant ``FAULTY``'s resources and
 the observation always taken from tenant ``VICTIM``'s side.  The
-*disruption* a co-tenant suffers is the absolute difference between its
-clean and faulted observations (latency, completions, corruptions, ...).
+*disruption* a co-tenant suffers is the signed per-key difference
+between its faulted and clean observations (latency, completions,
+corruptions, ...); ``disruption_total`` sums their magnitudes.
 
 The report this produces is the paper's §3.3 fate-sharing study turned
 into a regression gate:
@@ -20,19 +21,33 @@ into a regression gate:
   **exactly zero** victim disruption and exactly zero cross-tenant
   attributed wait — the blast radius is the faulty tenant.
 
-Everything runs inside an IsoSan ``sanitized()`` scope, and all
-randomness flows from the one ``--seed`` through :class:`FaultPlan`, so
-the same seed produces a byte-identical report.
+The rigs live here; the leg protocol, the injector scope, forensics,
+rendering and the CLI are the shared harness in
+:mod:`repro.faults.differential`.  Everything runs inside its IsoSan
+``sanitized()`` scope, and all randomness flows from the one ``--seed``
+through :class:`FaultPlan`, so the same seed produces a byte-identical
+report.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.inject import FaultInjector, PlanDriver
+from repro.faults.differential import (
+    Table,
+    View,
+    armed,
+    cli,
+    format_json,
+    forensics,
+    injection_info,
+    render_text,
+    run_legs,
+    study_scope,
+)
+from repro.faults.inject import PlanDriver
 from repro.faults.plan import ALL_FAULT_KINDS, FaultKind, FaultPlan
 from repro.faults.recovery import (
     BackoffPolicy,
@@ -41,17 +56,7 @@ from repro.faults.recovery import (
     Watchdog,
     retry_dma,
 )
-from repro.core.errors import (
-    IsolationViolation,
-    RecoveryExhausted,
-    WatchdogTimeout,
-)
-from repro.obs import auditlog as auditlog_mod
-from repro.obs import flight as flight_mod
-from repro.obs import metrics as metrics_mod
-from repro.obs import postmortem as postmortem_mod
-from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
-from repro.obs.metrics import get_registry
+from repro.obs.interference import cross_tenant_wait_ns
 
 SCHEMA_VERSION = 1
 
@@ -82,9 +87,9 @@ _Workload = Callable[[bool, bool, int, int], Tuple[_Observation, _Info]]
 #
 # Signature: (snic, inject, seed, rounds) -> (victim observation, info).
 # Each builds its own FaultPlan(seed) so clean and faulted runs share
-# nothing but the seed, and installs its FaultInjector strictly inside
-# the caller's sanitized() scope (IsoSan outermost, injector inner —
-# both wrap some of the same methods and must unwind LIFO).
+# nothing but the seed, and injects it through ``armed()`` (IsoSan
+# outermost, injector inner — both wrap some of the same methods and
+# must unwind LIFO).
 # ----------------------------------------------------------------------
 
 
@@ -103,22 +108,15 @@ def _bus_babble_workload(snic: bool, inject: bool, seed: int,
             epoch_ns=1_000.0, dead_time_ns=100.0)
     else:
         arbiter = FCFSArbiter(bandwidth_bytes_per_ns=12.8)
-    injector = FaultInjector(plan).install() if inject else None
     latency = 0.0
-    try:
-        if injector is not None:
-            injector.arm_all()
+    with armed(plan if inject else None) as injector:
         for i in range(rounds):
             t = i * 8_000.0
             arbiter.request(FAULTY, 48_000, t)
             issue = t + 100.0
             latency += arbiter.request(VICTIM, 1_500, issue) - issue
-    finally:
-        if injector is not None:
-            injector.uninstall()
     obs = {"completed": float(rounds), "latency_ns": latency}
-    info = {"injected": float(len(injector.records))} if injector else {}
-    return obs, info
+    return obs, injection_info(injector)
 
 
 def _dram_bit_flip_workload(snic: bool, inject: bool, seed: int,
@@ -146,28 +144,19 @@ def _dram_bit_flip_workload(snic: bool, inject: bool, seed: int,
         else:
             plan.at(0, FaultKind.DRAM_BIT_FLIP, tenant=FAULTY,
                     base=0, size=arena.size_bytes, n_flips=32)
-    injector = FaultInjector(plan).install() if inject else None
     latency = 0.0
-    victim_flips = 0
-    try:
-        if injector is not None:
-            injector.arm_all({FaultKind.DRAM_BIT_FLIP: arena})
+    with armed(plan if inject else None,
+               {FaultKind.DRAM_BIT_FLIP: arena}) as injector:
         for i in range(rounds):
             t = i * 16_000.0
             channel.access(FAULTY, 64_000, t)
             issue = t + 10.0
             latency += channel.access(VICTIM, 64, issue) - issue
-        if injector is not None:
-            victim_flips = sum(1 for addr, _ in injector.flips
-                               if addr < half)
-    finally:
-        if injector is not None:
-            injector.uninstall()
+    flips = injector.flips if injector is not None else []
+    victim_flips = sum(1 for addr, _ in flips if addr < half)
     obs = {"completed": float(rounds), "latency_ns": latency,
            "corrupted": float(victim_flips)}
-    info = {"injected": float(len(injector.records)),
-            "flips": float(len(injector.flips))} if injector else {}
-    return obs, info
+    return obs, injection_info(injector, flips=len(flips))
 
 
 def _dma_workload_factory(kind: FaultKind) -> _Workload:
@@ -199,12 +188,9 @@ def _dma_workload_factory(kind: FaultKind) -> _Workload:
         if inject:
             plan.burst(kind, FAULTY, start_ns=0, count=rounds,
                        period_ns=16_000, fraction=0.5)
-        injector = FaultInjector(plan).install() if inject else None
         latency = 0.0
         exhausted = 0
-        try:
-            if injector is not None:
-                injector.arm_all()
+        with armed(plan if inject else None) as injector:
             policy = BackoffPolicy(attempts=3, base_ns=500)
             for i in range(rounds):
                 t = i * 16_000.0
@@ -225,14 +211,8 @@ def _dma_workload_factory(kind: FaultKind) -> _Workload:
                 done_at = victim_bank.to_nic(
                     host_mem, nic_mem, 4 * window, 0, 4_096, now_ns=issue)
                 latency += done_at - issue
-        finally:
-            if injector is not None:
-                injector.uninstall()
         obs = {"completed": float(rounds), "latency_ns": latency}
-        info = ({"injected": float(len(injector.records)),
-                 "retries_exhausted": float(exhausted)}
-                if injector else {})
-        return obs, info
+        return obs, injection_info(injector, retries_exhausted=exhausted)
 
     return run
 
@@ -264,10 +244,7 @@ def _wire_workload_factory(kind: FaultKind) -> _Workload:
                 plan.burst(kind, None, start_ns=0, count=n_events,
                            period_ns=2_000)
         port = RXPort()
-        injector = FaultInjector(plan).install() if inject else None
-        try:
-            if injector is not None:
-                injector.arm_all()
+        with armed(plan if inject else None) as injector:
             for i in range(rounds):
                 base = i * 2_000
                 victim_pkt = Packet.make("10.0.0.1", victim_dst,
@@ -281,9 +258,6 @@ def _wire_workload_factory(kind: FaultKind) -> _Workload:
                 port.wire_arrival(victim_pkt)
                 port.wire_arrival(faulty_pkt)
             staged = port.drain()
-        finally:
-            if injector is not None:
-                injector.uninstall()
 
         service_ns, slow_factor = 600.0, 4.0
         latency = completed = corrupted = 0.0
@@ -303,8 +277,7 @@ def _wire_workload_factory(kind: FaultKind) -> _Workload:
                     corrupted += 1
         obs = {"completed": completed, "latency_ns": latency,
                "corrupted": corrupted}
-        info = {"injected": float(len(injector.records))} if injector else {}
-        return obs, info
+        return obs, injection_info(injector)
 
     return run
 
@@ -333,10 +306,8 @@ def _core_hang_workload(snic: bool, inject: bool, seed: int,
         plan.at(hang_at, FaultKind.CORE_HANG,
                 tenant=FAULTY if snic else None)
     sim = Simulator()
-    injector = FaultInjector(plan).install() if inject else None
     victim_instructions = 0.0
-    info: _Info = {}
-    try:
+    with armed(plan if inject else None, paced=True) as injector:
         driver = PlanDriver(plan, injector) if injector is not None else None
         watchdog: Optional[Watchdog] = None
         recovery: Optional[CommodityRecovery] = None
@@ -395,16 +366,13 @@ def _core_hang_workload(snic: bool, inject: bool, seed: int,
                         reboot_ready = recovery.power_cycle(t)
                         injector.clear_hang(None)
             sim.advance(period_ns)
-        if injector is not None:
-            info["injected"] = float(len(injector.records))
-            if watchdog is not None:
-                info["watchdog_timeouts"] = float(len(watchdog.timeouts))
-            if recovery is not None:
-                info["power_cycles"] = float(len(recovery.cycles))
-    finally:
-        if injector is not None:
-            injector.uninstall()
-    return {"instructions": victim_instructions}, info
+    extra: Dict[str, float] = {}
+    if watchdog is not None:
+        extra["watchdog_timeouts"] = len(watchdog.timeouts)
+    if recovery is not None:
+        extra["power_cycles"] = len(recovery.cycles)
+    return ({"instructions": victim_instructions},
+            injection_info(injector, **extra))
 
 
 def _accel_timeout_workload(snic: bool, inject: bool, seed: int,
@@ -436,11 +404,8 @@ def _accel_timeout_workload(snic: bool, inject: bool, seed: int,
         faulty_dev.bind(FAULTY)
     else:
         engine = AcceleratorEngine(AcceleratorKind.CRYPTO, n_threads=1)
-    injector = FaultInjector(plan).install() if inject else None
     latency = 0.0
-    try:
-        if injector is not None:
-            injector.arm_all()
+    with armed(plan if inject else None) as injector:
         for i in range(rounds):
             t = i * 50_000.0
             faulty_request = AcceleratorRequest(owner=FAULTY,
@@ -456,12 +421,8 @@ def _accel_timeout_workload(snic: bool, inject: bool, seed: int,
                 engine.submit_shared(faulty_request)
                 engine.submit_shared(request)
             latency += request.latency_ns
-    finally:
-        if injector is not None:
-            injector.uninstall()
     obs = {"completed": float(rounds), "latency_ns": latency}
-    info = {"injected": float(len(injector.records))} if injector else {}
-    return obs, info
+    return obs, injection_info(injector)
 
 
 def _nf_crash_workload(snic: bool, inject: bool, seed: int,
@@ -531,10 +492,7 @@ def _nf_crash_snic(inject: bool, seed: int,
         if inject:
             plan.at(4_000, FaultKind.NF_CRASH, tenant=faulty_id)
         supervisor = NFSupervisor(nic_os, runtime)
-        injector = FaultInjector(plan).install() if inject else None
-        try:
-            if injector is not None:
-                injector.arm_all()
+        with armed(plan if inject else None) as injector:
             # A crash-tolerant replica of SNICRuntime.run()'s drain loop:
             # the injected FatalFunctionError surfaces out of the kernel,
             # the supervisor restarts the crashed identity, and the drain
@@ -569,9 +527,6 @@ def _nf_crash_snic(inject: bool, seed: int,
                 else:
                     horizon = 0
             runtime._stop()
-        finally:
-            if injector is not None:
-                injector.uninstall()
         victim_timings = [t for t in runtime.stats.timings
                           if t.nf_id == victim_id]
     obs = {
@@ -579,10 +534,7 @@ def _nf_crash_snic(inject: bool, seed: int,
         "latency_ns": float(sum(t.latency_ns for t in victim_timings)),
         "dropped": float(rounds - len(victim_timings)),
     }
-    info = ({"injected": float(len(injector.records)),
-             "restarts": float(len(supervisor.restarts))}
-            if injector else {})
-    return obs, info
+    return obs, injection_info(injector, restarts=len(supervisor.restarts))
 
 
 def _nf_crash_commodity(inject: bool, seed: int,
@@ -643,9 +595,8 @@ def _nic_os_stall_workload(snic: bool, inject: bool, seed: int,
     if inject:
         plan.at(stall_round * period_ns, FaultKind.NIC_OS_STALL)
     sim = Simulator()
-    injector = FaultInjector(plan).install() if inject else None
     latency = completed = mgmt_failures = 0.0
-    try:
+    with armed(plan if inject else None, paced=True) as injector:
         driver = PlanDriver(plan, injector,
                             targets={FaultKind.NIC_OS_STALL: nic_os}) \
             if injector is not None else None
@@ -683,15 +634,10 @@ def _nic_os_stall_workload(snic: bool, inject: bool, seed: int,
                     completed += 1
                 backlog = []
             sim.advance(period_ns)
-    finally:
-        if injector is not None:
-            injector.uninstall()
     obs = {"completed": completed, "latency_ns": latency}
-    info = ({"injected": float(len(injector.records)),
-             "mgmt_failures": mgmt_failures,
-             "watchdog_timeouts": float(len(watchdog.timeouts))}
-            if injector else {})
-    return obs, info
+    return obs, injection_info(
+        injector, mgmt_failures=mgmt_failures,
+        watchdog_timeouts=len(watchdog.timeouts) if watchdog else 0)
 
 
 _WORKLOADS: Dict[FaultKind, _Workload] = {
@@ -712,78 +658,42 @@ _WORKLOADS: Dict[FaultKind, _Workload] = {
 
 
 # ----------------------------------------------------------------------
-# The differential experiment
+# The study: entries, verdict, view, CLI
 # ----------------------------------------------------------------------
 
 
-def _chaos_bundle_name(kind: FaultKind, seed: int) -> str:
+def _bundle_name(kind: FaultKind, seed: int) -> str:
     return f"chaos-{kind.value}-snic-s{seed}"
 
 
-def _write_chaos_bundle(directory: str, kind: FaultKind, seed: int,
-                        reason: object) -> str:
-    """Assemble a forensics bundle from the just-finished faulted S-NIC
-    leg's live state (must run *before* the next metrics reset)."""
-    spec = _crash_spec(seed) if kind is FaultKind.NF_CRASH else None
-    bundle = postmortem_mod.build_bundle(reason=reason, spec=spec)
-    return postmortem_mod.write_bundle(
-        bundle,
-        postmortem_mod.bundle_path(directory, _chaos_bundle_name(kind, seed)))
+def _side(kind: FaultKind, snic: bool, seed: int, rounds: int,
+          postmortem_dir: Optional[str]) -> Dict[str, object]:
+    """One configuration's clean and faulted legs as a report block.
 
-
-def _differential(kind: FaultKind, seed: int, rounds: int,
-                  postmortem_dir: Optional[str] = None
-                  ) -> Tuple[Dict[str, object], List[str]]:
-    workload = _WORKLOADS[kind]
-    entry: Dict[str, object] = {}
-    bundles: List[str] = []
-    for label, snic in (("commodity", False), ("snic", True)):
-        metrics_mod.reset()
-        clean, _ = workload(snic, False, seed, rounds)
-        metrics_mod.reset()
-        # Forensics are armed only around the faulted S-NIC leg: the
-        # injected fault is the incident under investigation, and the
-        # clean/commodity legs must stay byte-identical to a run with
-        # no --postmortem-dir at all.
-        forensic = postmortem_dir is not None and snic
-        if forensic:
-            flight_mod.reset()
-            auditlog_mod.reset()
-            auditlog_mod.enable_audit_log()
-            flight_mod.enable_flight_recording()
-        try:
-            faulted, info = workload(snic, True, seed, rounds)
-        except (IsolationViolation, WatchdogTimeout,
-                RecoveryExhausted) as exc:
-            # A genuine containment failure: capture the crime scene
-            # before the exception unwinds the harness.
-            if forensic:
-                bundles.append(_write_chaos_bundle(
-                    postmortem_dir, kind, seed, exc))
-                flight_mod.reset()
-                auditlog_mod.reset()
-            raise
-        matrix = blame_matrix(get_registry())
-        disruption = {key: faulted[key] - clean[key]
-                      for key in sorted(clean)}
-        entry[label] = {
-            "clean": {key: clean[key] for key in sorted(clean)},
-            "faulted": {key: faulted[key] for key in sorted(faulted)},
-            "disruption": disruption,
-            "disruption_total": float(
-                sum(abs(value) for value in disruption.values())),
-            "cross_tenant_wait_ns": float(cross_tenant_wait_ns(matrix)),
-            "info": {key: info[key] for key in sorted(info)},
-        }
-        if forensic:
-            bundles.append(_write_chaos_bundle(
-                postmortem_dir, kind, seed,
-                {"kind": "FaultInjected",
-                 "message": f"{kind.value} injected into tenant {FAULTY} "
-                            f"(seed {seed})"}))
-            flight_mod.reset()
-            auditlog_mod.reset()
-    return entry, bundles
+    Forensics arm only around the faulted S-NIC leg, so every other leg
+    is byte-identical to a run without ``postmortem_dir``.
+    """
+    rig = _WORKLOADS[kind]
+    forensic = None
+    if postmortem_dir is not None and snic:
+        forensic = forensics(
+            postmortem_dir, _bundle_name(kind, seed),
+            reason={"kind": "FaultInjected",
+                    "message": f"{kind.value} injected into tenant "
+                               f"{FAULTY} (seed {seed})"},
+            spec=_crash_spec(seed) if kind is FaultKind.NF_CRASH else None)
+    (clean, _), (faulted, info), matrix = run_legs(
+        lambda inject: rig(snic, inject, seed, rounds), forensic=forensic)
+    disruption = {key: faulted[key] - clean[key] for key in sorted(clean)}
+    return {
+        "clean": clean,
+        "faulted": faulted,
+        "disruption": disruption,  # signed; the total sums magnitudes
+        "disruption_total": float(
+            sum(abs(value) for value in disruption.values())),
+        "cross_tenant_wait_ns": float(cross_tenant_wait_ns(matrix)),
+        "info": info,
+    }
 
 
 def run_chaos(seed: int = 0, quick: bool = False, matrix: bool = False,
@@ -791,54 +701,37 @@ def run_chaos(seed: int = 0, quick: bool = False, matrix: bool = False,
               postmortem_dir: Optional[str] = None) -> Dict[str, object]:
     """Run the blast-radius experiment; returns the report dict.
 
-    ``matrix`` sweeps the full fault taxonomy; the default covers the
-    headline kinds.  Every workload runs inside one IsoSan
-    ``sanitized()`` scope with the injector installed strictly inside
-    it, and all randomness flows from ``seed``.
-
-    ``postmortem_dir`` arms the forensic layer around every faulted
-    S-NIC leg and drops one deterministic ``POSTMORTEM_*.json`` bundle
-    per fault class there (plus a crash bundle if a containment failure
-    actually escapes) — same seed, byte-identical bundles.
+    ``matrix`` sweeps the full fault taxonomy, ``kinds`` picks classes,
+    and the default is the headline kinds.  ``postmortem_dir`` gets one
+    deterministic ``POSTMORTEM_*.json`` bundle per faulted S-NIC leg (a
+    crash bundle instead if a containment failure escapes).
     """
-    from repro.analysis.isosan import get_isosan, sanitized
-
     mode = "quick" if quick else "full"
-    rounds = _SCALE[mode]
     if kinds:
         selected = [FaultKind(k) for k in kinds]
-    elif matrix:
-        selected = list(ALL_FAULT_KINDS)
     else:
-        selected = list(HEADLINE_KINDS)
-
-    report: Dict[str, object] = {
+        selected = list(ALL_FAULT_KINDS if matrix else HEADLINE_KINDS)
+    report: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "seed": int(seed),
         "mode": mode,
         "matrix": bool(matrix),
         "tenants": {"victim": VICTIM, "faulty": FAULTY},
-        "kinds": {},
     }
-    bundles: List[str] = []
-    with sanitized():
-        report["isosan_active"] = get_isosan().installed
-        for kind in selected:
-            entry, kind_bundles = _differential(
-                kind, seed, rounds, postmortem_dir=postmortem_dir)
-            report["kinds"][kind.value] = entry
-            bundles.extend(kind_bundles)
-    metrics_mod.reset()
+    with study_scope() as isosan_active:
+        report["isosan_active"] = isosan_active
+        report["kinds"] = {
+            kind.value: {
+                label: _side(kind, snic, seed, _SCALE[mode], postmortem_dir)
+                for label, snic in (("commodity", False), ("snic", True))}
+            for kind in selected}
     if postmortem_dir is not None:
-        report["postmortem"] = {
-            "bundles": sorted(path.rsplit("/", 1)[-1]
-                              for path in bundles)}
-
+        report["postmortem"] = {"bundles": sorted(
+            f"POSTMORTEM_{_bundle_name(kind, seed)}.json"
+            for kind in selected)}
     reasons: List[str] = []
-    for kind_name in sorted(report["kinds"]):
-        entry = report["kinds"][kind_name]
+    for kind_name, entry in sorted(report["kinds"].items()):
         snic_side = entry["snic"]
-        commodity_side = entry["commodity"]
         if snic_side["disruption_total"] != 0.0:
             reasons.append(
                 f"S-NIC co-tenant disrupted under {kind_name} "
@@ -848,7 +741,7 @@ def run_chaos(seed: int = 0, quick: bool = False, matrix: bool = False,
             reasons.append(
                 f"S-NIC cross-tenant attributed wait under {kind_name} "
                 f"({snic_side['cross_tenant_wait_ns']:.6g} ns)")
-        if commodity_side["disruption_total"] == 0.0:
+        if entry["commodity"]["disruption_total"] == 0.0:
             reasons.append(
                 f"commodity co-tenant shows no disruption under "
                 f"{kind_name} — the §3.3 fate-sharing baseline did not "
@@ -857,125 +750,71 @@ def run_chaos(seed: int = 0, quick: bool = False, matrix: bool = False,
     return report
 
 
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
+def blast_radius(entry: Dict[str, Any]) -> str:
+    """``DEVICE`` if the S-NIC victim noticed the fault at all, else
+    ``tenant`` if the commodity victim did, else ``none``."""
+    snic = entry["snic"]
+    if snic["disruption_total"] != 0.0 or snic["cross_tenant_wait_ns"] != 0.0:
+        return "DEVICE"
+    return "tenant" if entry["commodity"]["disruption_total"] else "none"
 
 
-def format_report_text(report: Dict[str, object]) -> str:
-    lines: List[str] = []
-    verdict = report["verdict"]
-    lines.append("S-NIC chaos blast-radius report")
-    lines.append(f"  seed={report['seed']}  mode={report['mode']}  "
-                 f"isosan={'on' if report.get('isosan_active') else 'off'}")
-    lines.append("")
-    header = (f"  {'fault class':<16} {'commodity disrupt':>18} "
-              f"{'snic disrupt':>13} {'snic x-wait ns':>15}  blast radius")
-    lines.append(header)
-    lines.append("  " + "-" * (len(header) - 2))
-    for kind_name in sorted(report["kinds"]):
-        entry = report["kinds"][kind_name]
-        commodity_total = entry["commodity"]["disruption_total"]
-        snic_total = entry["snic"]["disruption_total"]
-        snic_cross = entry["snic"]["cross_tenant_wait_ns"]
-        contained = snic_total == 0.0 and snic_cross == 0.0
-        radius = ("tenant" if contained and commodity_total != 0.0
-                  else "DEVICE" if not contained else "none?")
-        lines.append(f"  {kind_name:<16} {commodity_total:>18.6g} "
-                     f"{snic_total:>13.6g} {snic_cross:>15.6g}  {radius}")
-    lines.append("")
-    if verdict["pass"]:
-        lines.append("  VERDICT: PASS — every fault's blast radius is the "
-                     "faulty tenant on S-NIC, the device on commodity")
-    else:
-        lines.append("  VERDICT: FAIL")
-        for reason in verdict["reasons"]:
-            lines.append(f"    - {reason}")
-    return "\n".join(lines) + "\n"
+def _view(report: Dict[str, Any]) -> View:
+    rows = [(kind_name, f"{entry['commodity']['disruption_total']:.6g}",
+             f"{entry['snic']['disruption_total']:.6g}",
+             f"{entry['snic']['cross_tenant_wait_ns']:.6g}",
+             blast_radius(entry))
+            for kind_name, entry in sorted(report["kinds"].items())]
+    return View(
+        title="S-NIC chaos blast-radius report",
+        meta=[f"seed: {report['seed']}  mode: {report['mode']}  "
+              f"isosan: {'on' if report['isosan_active'] else 'off'}"],
+        tables=[Table("victim disruption per fault class",
+                      ("fault class", "commodity disruption",
+                       "S-NIC disruption", "S-NIC x-tenant wait ns",
+                       "blast radius"), rows)],
+        verdict=report["verdict"],
+        claim="every fault's blast radius is the faulty tenant on S-NIC, "
+              "the device on commodity")
 
 
-def format_report_markdown(report: Dict[str, object]) -> str:
-    lines: List[str] = []
-    verdict = report["verdict"]
-    lines.append("# S-NIC chaos blast-radius report")
-    lines.append("")
-    lines.append(f"- seed: `{report['seed']}`  mode: `{report['mode']}`  "
-                 f"IsoSan: `{'on' if report.get('isosan_active') else 'off'}`")
-    lines.append(f"- verdict: "
-                 f"**{'PASS' if verdict['pass'] else 'FAIL'}**")
-    lines.append("")
-    lines.append("| fault class | commodity disruption | S-NIC disruption "
-                 "| S-NIC cross-tenant wait (ns) |")
-    lines.append("|---|---:|---:|---:|")
-    for kind_name in sorted(report["kinds"]):
-        entry = report["kinds"][kind_name]
-        lines.append(
-            f"| `{kind_name}` "
-            f"| {entry['commodity']['disruption_total']:.6g} "
-            f"| {entry['snic']['disruption_total']:.6g} "
-            f"| {entry['snic']['cross_tenant_wait_ns']:.6g} |")
-    if verdict["reasons"]:
-        lines.append("")
-        lines.append("## Failures")
-        lines.append("")
-        for reason in verdict["reasons"]:
-            lines.append(f"- {reason}")
-    return "\n".join(lines) + "\n"
+def format_report_text(report: Dict[str, Any]) -> str:
+    return render_text(_view(report))
 
 
-def format_report_json(report: Dict[str, object]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+format_report_json = format_json
 
 
-_FORMATTERS = {
-    "text": format_report_text,
-    "markdown": format_report_markdown,
-    "json": format_report_json,
-}
-
-
-def main(argv: Optional[Sequence[str]] = None,
-         stream: Optional[IO[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description="Deterministic fault injection with blast-radius "
-                    "accounting: commodity fate-sharing vs S-NIC "
-                    "containment, per fault class.")
+def _options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="fault-plan seed (same seed => byte-identical "
                              "report)")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI smoke)")
     parser.add_argument("--matrix", action="store_true",
                         help="sweep the full fault taxonomy instead of the "
                              "headline kinds")
     parser.add_argument("--kind", action="append", dest="kinds",
                         choices=[k.value for k in ALL_FAULT_KINDS],
                         help="run only this fault class (repeatable)")
-    parser.add_argument("--format", choices=sorted(_FORMATTERS),
-                        default="text")
-    parser.add_argument("-o", "--out", default=None,
-                        help="also write the rendered report to this file")
     parser.add_argument("--postmortem-dir", default=None,
                         help="write one POSTMORTEM_*.json forensics "
                              "bundle per faulted S-NIC leg to this "
                              "directory (inspect with `repro postmortem`)")
-    args = parser.parse_args(argv)
-    out = stream if stream is not None else sys.stdout
 
-    report = run_chaos(seed=args.seed, quick=args.quick,
-                       matrix=args.matrix, kinds=args.kinds,
-                       postmortem_dir=args.postmortem_dir)
-    rendered = _FORMATTERS[args.format](report)
-    out.write(rendered)
+
+def _run(args: argparse.Namespace) -> Dict[str, Any]:
+    report = run_chaos(seed=args.seed, quick=args.quick, matrix=args.matrix,
+                       kinds=args.kinds, postmortem_dir=args.postmortem_dir)
     if args.postmortem_dir is not None:
-        names = report.get("postmortem", {}).get("bundles", [])
-        out.write(f"{len(names)} post-mortem bundle(s) written to "
-                  f"{args.postmortem_dir}\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    return 0 if report["verdict"]["pass"] else 1
+        print(f"{len(report['postmortem']['bundles'])} post-mortem bundle(s) "
+              f"written to {args.postmortem_dir}", file=sys.stderr)
+    return report
+
+
+main = cli(prog="repro chaos",
+           description="Deterministic fault injection with blast-radius "
+                       "accounting: commodity fate-sharing vs S-NIC "
+                       "containment, per fault class.",
+           run=_run, view=_view, options=_options, out_flags=("-o", "--out"))
 
 
 if __name__ == "__main__":

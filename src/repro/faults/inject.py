@@ -12,8 +12,9 @@ plane as the behaviour it perturbs.
 
 Install/uninstall nests *inside* an active IsoSan scope: both wrap some
 of the same methods (``DMABank.to_nic``/``to_host``, the temporal bus
-arbiter), and class-attribute restoration must unwind LIFO.  The chaos
-driver installs the injector strictly within ``sanitized()``.
+arbiter), and class-attribute restoration must unwind LIFO.  The
+differential harness's ``armed()`` installs it strictly within
+``sanitized()``.
 """
 
 from __future__ import annotations

@@ -93,7 +93,6 @@ from repro.obs.interference import (
     blame_matrix,
     cross_tenant_events,
     cross_tenant_wait_ns,
-    format_matrix,
     get_accountant,
 )
 from repro.obs.export import (
@@ -182,7 +181,6 @@ __all__ = [
     "enable_flight_recording",
     "enable_tracing",
     "evaluate_tenant",
-    "format_matrix",
     "format_metrics_table",
     "get_accountant",
     "get_audit_log",

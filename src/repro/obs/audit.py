@@ -26,14 +26,15 @@ isolation claim holds in the model, not approximately but
 structurally).  Everything is deterministic — fixed seeds, fixed
 workloads, sorted JSON — so two runs produce byte-identical scorecards
 and any diff is a real behaviour change.
+
+The workloads live here; the leg protocol, the IsoSan scope, rendering
+and the CLI are the harness it shares with ``repro chaos``
+(:mod:`repro.faults.differential`).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Callable, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.commodity.sidechannels import (
     bus_watermark_on_fcfs,
@@ -42,6 +43,16 @@ from repro.commodity.sidechannels import (
     channel_capacity,
 )
 from repro.core.noninterference import check_noninterference
+from repro.faults.differential import (
+    Table,
+    View,
+    cli,
+    format_json,
+    render_markdown,
+    render_text,
+    run_legs,
+    study_scope,
+)
 from repro.hw.bus import FCFSArbiter, TemporalPartitioningArbiter
 from repro.hw.cache import HARD, Cache, CacheConfig
 from repro.hw.cores import ProgrammableCore
@@ -51,11 +62,8 @@ from repro.hw.memory import HostMemory, PhysicalMemory
 from repro.obs import metrics as metrics_mod
 from repro.obs.interference import (
     RESOURCES,
-    BlameMatrix,
-    blame_matrix,
     cross_tenant_events,
     cross_tenant_wait_ns,
-    format_matrix,
 )
 from repro.obs.metrics import Histogram, get_registry
 
@@ -252,11 +260,9 @@ _METRIC_LABEL = {
 def _measure_resource(resource: str, snic: bool, rounds: int) -> Dict[str, object]:
     """One resource under one config: solo run, co-tenant run, blame."""
     workload = _WORKLOADS[resource]
-    metrics_mod.reset()
-    solo = workload(snic, False, rounds)
-    metrics_mod.reset()
-    cotenant = workload(snic, True, rounds)
-    matrix = blame_matrix(get_registry(), resource=resource)
+    solo, cotenant, matrix = run_legs(
+        lambda with_cotenant: workload(snic, with_cotenant, rounds),
+        resource=resource)
     cells = matrix.get(resource, {})
     percentiles = _victim_latency_percentiles()
     # A ratio is meaningless off a zero baseline (e.g. a 0% solo miss
@@ -328,14 +334,14 @@ def run_audit(quick: bool = False) -> Dict[str, object]:
     """Run the full differential and build the scorecard dict."""
     scale = "quick" if quick else "full"
     rounds = _SCALE[scale]
-    commodity = _measure_config(snic=False, rounds=rounds)
-    snic = _measure_config(snic=True, rounds=rounds)
-    metrics_mod.reset()  # leave no audit residue in the registry
-    channels = _measure_side_channels(_CHANNEL_BITS[scale])
-    violations = check_noninterference(
-        n_trials=_NONINT_TRIALS[scale],
-        steps_per_trial=_NONINT_STEPS[scale], seed=0)
-    metrics_mod.reset()
+    with study_scope():
+        commodity = _measure_config(snic=False, rounds=rounds)
+        snic = _measure_config(snic=True, rounds=rounds)
+        metrics_mod.reset()  # leave no audit residue in the registry
+        channels = _measure_side_channels(_CHANNEL_BITS[scale])
+        violations = check_noninterference(
+            n_trials=_NONINT_TRIALS[scale],
+            steps_per_trial=_NONINT_STEPS[scale], seed=0)
 
     reasons: List[str] = []
     snic_cross = float(snic["cross_tenant_wait_ns"])  # type: ignore[arg-type]
@@ -385,177 +391,83 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _slowdown_str(slowdown: Optional[float]) -> str:
-    return f"x{slowdown:.2f}" if slowdown is not None else "x n/a"
+def _legs_cell(report: Dict[str, Any]) -> str:
+    slowdown = report["slowdown"]
+    ratio = f"x{slowdown:.2f}" if slowdown is not None else "x n/a"
+    return f"{_fmt(report['solo'])} -> {_fmt(report['cotenant'])} ({ratio})"
 
 
-def _config_matrix(scorecard: Dict[str, object], config: str) -> BlameMatrix:
-    resources = scorecard["configs"][config]["resources"]  # type: ignore[index]
-    matrix: BlameMatrix = {}
-    for res, report in resources.items():
-        cells = {}
-        for key, cell in report["matrix"].items():
-            victim, culprit = key.split("->", 1)
-            cells[(victim, culprit)] = cell
-        if cells:
-            matrix[res] = cells
-    return matrix
+def _percentiles_cell(report: Dict[str, Any]) -> str:
+    pct = report["cotenant_latency_percentiles"]
+    return "/".join(f"{pct[q]:.0f}" for q in ("p50", "p95", "p99"))
 
 
-def format_scorecard_text(scorecard: Dict[str, object]) -> str:
-    lines: List[str] = ["=== repro audit: isolation scorecard ==="]
-    mode = "quick" if scorecard["quick"] else "full"
-    lines.append(f"mode: {mode}  "
-                 f"({scorecard['rounds_per_workload']} rounds/workload)")
-    lines.append("")
-    header = (f"{'resource':<9} {'metric':<17} {'commodity':>22} "
-              f"{'s-nic':>22} {'x-tenant wait (ns)':>24}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    configs = scorecard["configs"]
-    for res in RESOURCES:
-        com = configs["commodity"]["resources"][res]  # type: ignore[index]
-        sni = configs["snic"]["resources"][res]  # type: ignore[index]
-        com_col = (f"{_fmt(com['solo'])} -> {_fmt(com['cotenant'])} "
-                   f"({_slowdown_str(com['slowdown'])})")
-        sni_col = (f"{_fmt(sni['solo'])} -> {_fmt(sni['cotenant'])} "
-                   f"({_slowdown_str(sni['slowdown'])})")
-        cross_col = (f"{_fmt(com['cross_tenant_wait_ns'])} vs "
-                     f"{_fmt(sni['cross_tenant_wait_ns'])}")
-        lines.append(f"{res:<9} {com['metric']:<17} {com_col:>22} "
-                     f"{sni_col:>22} {cross_col:>24}")
-    lines.append("")
-    for config in ("commodity", "snic"):
-        lines.append(format_matrix(
-            _config_matrix(scorecard, config),
-            title=f"{config} blame matrix (co-tenant runs)"))
-        lines.append("")
-    lines.append("--- victim co-tenant latency percentiles (ns) ---")
-    for res in RESOURCES:
-        com = configs["commodity"]["resources"][res]  # type: ignore[index]
-        sni = configs["snic"]["resources"][res]  # type: ignore[index]
-        com_pct = com.get("cotenant_latency_percentiles")
-        sni_pct = sni.get("cotenant_latency_percentiles")
-        if not com_pct or not sni_pct:
-            continue
-        lines.append(
-            f"{res:<9} commodity p50/p95/p99 "
-            f"{com_pct['p50']:.0f}/{com_pct['p95']:.0f}/{com_pct['p99']:.0f}"
-            f"   s-nic {sni_pct['p50']:.0f}/{sni_pct['p95']:.0f}/"
-            f"{sni_pct['p99']:.0f}")
-    lines.append("")
-    lines.append("--- side channels (accuracy / capacity bits/symbol) ---")
-    for channel, by_config in scorecard["side_channels"].items():  # type: ignore[union-attr]
-        com, sni = by_config["commodity"], by_config["snic"]
-        lines.append(
-            f"{channel:<18} commodity {com['accuracy']:.3f} / "
-            f"{com['capacity_bits_per_symbol']:.3f}   "
-            f"s-nic {sni['accuracy']:.3f} / "
-            f"{sni['capacity_bits_per_symbol']:.3f} "
-            f"({'closed' if sni['closed'] else 'OPEN'})")
+def _view(scorecard: Dict[str, Any]) -> View:
+    com, sni = (scorecard["configs"][config]["resources"]
+                for config in ("commodity", "snic"))
+    tables = [
+        Table("per-resource differential",
+              ("resource", "metric", "commodity solo -> co",
+               "S-NIC solo -> co", "x-tenant wait ns (commodity / S-NIC)"),
+              [(res, com[res]["metric"], _legs_cell(com[res]),
+                _legs_cell(sni[res]),
+                f"{_fmt(com[res]['cross_tenant_wait_ns'])} / "
+                f"{_fmt(sni[res]['cross_tenant_wait_ns'])}")
+               for res in RESOURCES]),
+        Table("victim co-tenant latency p50/p95/p99 (ns)",
+              ("resource", "commodity", "S-NIC"),
+              [(res, _percentiles_cell(com[res]), _percentiles_cell(sni[res]))
+               for res in RESOURCES
+               if com[res]["cotenant_latency_percentiles"]
+               and sni[res]["cotenant_latency_percentiles"]]),
+    ]
+    for label, resources in (("commodity", com), ("S-NIC", sni)):
+        tables.append(Table(
+            f"{label} blame matrix (co-tenant runs)",
+            ("resource", "victim", "culprit", "wait ns", "events"),
+            [(res, *key.split("->", 1), _fmt(cell["wait_ns"]),
+              _fmt(cell["events"]))
+             for res in RESOURCES
+             for key, cell in resources[res]["matrix"].items()]))
     nonint = scorecard["noninterference"]
-    lines.append(
-        f"noninterference: {nonint['violations']} violation(s) over "  # type: ignore[index]
-        f"{nonint['trials']} trials x {nonint['steps_per_trial']} steps")  # type: ignore[index]
-    verdict = scorecard["verdict"]
-    lines.append("")
-    if verdict["pass"]:  # type: ignore[index]
-        lines.append("VERDICT: PASS — commodity interferes, S-NIC attributes "
-                     "exactly zero cross-tenant wait")
-    else:
-        lines.append("VERDICT: FAIL")
-        for reason in verdict["reasons"]:  # type: ignore[index]
-            lines.append(f"  - {reason}")
-    return "\n".join(lines) + "\n"
-
-
-def format_scorecard_markdown(scorecard: Dict[str, object]) -> str:
-    lines: List[str] = ["# repro audit: isolation scorecard", ""]
+    tables.append(Table(
+        "side channels",
+        ("channel", "commodity accuracy", "commodity bits/symbol",
+         "S-NIC accuracy", "S-NIC bits/symbol", "closed under S-NIC"),
+        [(channel, *(f"{by[config][key]:.3f}"
+                     for config in ("commodity", "snic")
+                     for key in ("accuracy", "capacity_bits_per_symbol")),
+          "yes" if by["snic"]["closed"] else "NO")
+         for channel, by in scorecard["side_channels"].items()],
+        notes=[f"noninterference harness: {nonint['violations']} "
+               f"violation(s) over {nonint['trials']} trials x "
+               f"{nonint['steps_per_trial']} steps"]))
     mode = "quick" if scorecard["quick"] else "full"
-    lines.append(f"Mode: `{mode}` "
-                 f"({scorecard['rounds_per_workload']} rounds per workload)")
-    lines.append("")
-    lines.append("| resource | metric | commodity solo→co (slowdown) | "
-                 "S-NIC solo→co (slowdown) | cross-tenant wait ns "
-                 "(commodity / S-NIC) |")
-    lines.append("|---|---|---|---|---|")
-    configs = scorecard["configs"]
-    for res in RESOURCES:
-        com = configs["commodity"]["resources"][res]  # type: ignore[index]
-        sni = configs["snic"]["resources"][res]  # type: ignore[index]
-        lines.append(
-            f"| {res} | {com['metric']} "
-            f"| {_fmt(com['solo'])} → {_fmt(com['cotenant'])} "
-            f"({_slowdown_str(com['slowdown'])}) "
-            f"| {_fmt(sni['solo'])} → {_fmt(sni['cotenant'])} "
-            f"({_slowdown_str(sni['slowdown'])}) "
-            f"| {_fmt(com['cross_tenant_wait_ns'])} / "
-            f"{_fmt(sni['cross_tenant_wait_ns'])} |")
-    lines.append("")
-    lines.append("## Side channels")
-    lines.append("")
-    lines.append("| channel | commodity accuracy | commodity capacity | "
-                 "S-NIC accuracy | S-NIC capacity | closed under S-NIC |")
-    lines.append("|---|---|---|---|---|---|")
-    for channel, by_config in scorecard["side_channels"].items():  # type: ignore[union-attr]
-        com, sni = by_config["commodity"], by_config["snic"]
-        lines.append(
-            f"| {channel} | {com['accuracy']:.3f} "
-            f"| {com['capacity_bits_per_symbol']:.3f} "
-            f"| {sni['accuracy']:.3f} "
-            f"| {sni['capacity_bits_per_symbol']:.3f} "
-            f"| {'yes' if sni['closed'] else '**no**'} |")
-    nonint = scorecard["noninterference"]
-    verdict = scorecard["verdict"]
-    lines.append("")
-    lines.append(
-        f"Noninterference harness: **{nonint['violations']} violations** "  # type: ignore[index]
-        f"({nonint['trials']} trials × {nonint['steps_per_trial']} steps).")  # type: ignore[index]
-    lines.append("")
-    if verdict["pass"]:  # type: ignore[index]
-        lines.append("**Verdict: PASS** — the commodity configuration "
-                     "attributes nonzero cross-tenant wait on every shared "
-                     "resource and the S-NIC configuration attributes "
-                     "exactly zero.")
-    else:
-        lines.append("**Verdict: FAIL**")
-        for reason in verdict["reasons"]:  # type: ignore[index]
-            lines.append(f"- {reason}")
-    return "\n".join(lines) + "\n"
+    return View(
+        title="repro audit: isolation scorecard",
+        meta=[f"mode: {mode} ({scorecard['rounds_per_workload']} rounds "
+              f"per workload)"],
+        tables=tables,
+        verdict=scorecard["verdict"],
+        claim="commodity attributes nonzero cross-tenant wait on every "
+              "shared resource, S-NIC exactly zero")
 
 
-def format_scorecard_json(scorecard: Dict[str, object]) -> str:
-    return json.dumps(scorecard, indent=2, sort_keys=True) + "\n"
+def format_scorecard_text(scorecard: Dict[str, Any]) -> str:
+    return render_text(_view(scorecard))
 
 
-_FORMATTERS = {
-    "text": format_scorecard_text,
-    "json": format_scorecard_json,
-    "markdown": format_scorecard_markdown,
-}
+def format_scorecard_markdown(scorecard: Dict[str, Any]) -> str:
+    return render_markdown(_view(scorecard))
 
 
-def main(argv: Optional[List[str]] = None,
-         stream: Optional[TextIO] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro audit",
-        description="Solo-vs-co-tenant isolation audit across every shared "
-                    "hardware resource; exits 1 if the verdict fails.")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced iteration counts (CI smoke)")
-    parser.add_argument("--format", choices=sorted(_FORMATTERS),
-                        default="text", help="output format")
-    parser.add_argument("--out", metavar="PATH",
-                        help="also write the scorecard to this file")
-    args = parser.parse_args(argv)
-    out = stream if stream is not None else sys.stdout
-    scorecard = run_audit(quick=args.quick)
-    rendered = _FORMATTERS[args.format](scorecard)
-    out.write(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    return 0 if scorecard["verdict"]["pass"] else 1  # type: ignore[index]
+format_scorecard_json = format_json
+
+main = cli(prog="repro audit",
+           description="Solo-vs-co-tenant isolation audit across every "
+                       "shared hardware resource; exits 1 if the verdict "
+                       "fails.",
+           run=lambda args: run_audit(quick=args.quick), view=_view)
 
 
 if __name__ == "__main__":  # pragma: no cover

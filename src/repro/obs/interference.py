@@ -175,38 +175,6 @@ def cross_tenant_events(matrix: BlameMatrix,
     return total
 
 
-def format_matrix(matrix: BlameMatrix,
-                  title: str = "interference matrix") -> str:
-    """Human-readable per-resource blame tables (victim rows, culprit
-    columns, cells ``wait_ns/events``)."""
-    lines: List[str] = [f"=== {title} ==="]
-    if not matrix:
-        lines.append("(no interference recorded)")
-        return "\n".join(lines)
-    for res, cells in matrix.items():
-        victims = sorted({v for v, _ in cells})
-        culprits = sorted({c for _, c in cells})
-        lines.append(f"[{res}]")
-        header = ["victim \\ culprit"] + culprits
-        rows: List[List[str]] = []
-        for victim in victims:
-            row = [victim]
-            for culprit in culprits:
-                cell = cells.get((victim, culprit))
-                if cell is None:
-                    row.append("-")
-                else:
-                    row.append(f"{cell['wait_ns']:.0f}ns/"
-                               f"{cell['events']:.0f}ev")
-            rows.append(row)
-        widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-                  for i in range(len(header))]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
 class FCFSWaitAttributor:
     """Shared bookkeeping for FCFS-style queues: who occupied the
     resource during the interval a new request had to wait through.

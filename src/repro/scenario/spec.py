@@ -49,6 +49,13 @@ def _as_params(value) -> _Params:
     return tuple(sorted((str(k), v) for k, v in items))
 
 
+def _block(data: object, what: str) -> Dict[str, object]:
+    """``data`` as the mapping a spec block must be, or a SpecError."""
+    if not isinstance(data, dict):
+        raise SpecError(f"{what} must be a mapping, got {data!r}")
+    return data
+
+
 def _params_dict(params: _Params) -> Dict[str, object]:
     return {k: v for k, v in params}
 
@@ -91,7 +98,7 @@ class NFSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "NFSpec":
-        return cls(kind=data["kind"], params=_as_params(data.get("params")))
+        return cls(kind=data.get("kind"), params=_as_params(data.get("params")))
 
 
 @dataclass(frozen=True)
@@ -156,9 +163,9 @@ class TenantSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TenantSpec":
         return cls(
-            name=data["name"],
-            nf=NFSpec.from_dict(data["nf"]),
-            dst_prefix=data["dst_prefix"],
+            name=data.get("name", ""),
+            nf=NFSpec.from_dict(_block(data.get("nf"), "tenant nf")),
+            dst_prefix=data.get("dst_prefix", ""),
             cores=int(data.get("cores", 1)),
             memory_mb=int(data.get("memory_mb", 4)),
             dpi_units=int(data.get("dpi_units", 0)),
@@ -265,7 +272,8 @@ class TopologySpec:
             n_cores=int(data.get("n_cores", 4)),
             dram_mb=int(data.get("dram_mb", 128)),
             key_seed=int(data.get("key_seed", 7)),
-            arbiter=ArbiterSpec.from_dict(data.get("arbiter", {})),
+            arbiter=ArbiterSpec.from_dict(
+                _block(data.get("arbiter", {}), "arbiter")),
             poll_interval_ns=int(data.get("poll_interval_ns", 2_000)),
             service_ns_per_packet=int(
                 data.get("service_ns_per_packet", 600)),
@@ -359,7 +367,7 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultSpec":
         return cls(
-            kind=data["kind"],
+            kind=data.get("kind"),
             tenant=data.get("tenant"),
             start_ns=int(data.get("start_ns", 0)),
             count=int(data.get("count", 4)),
@@ -468,6 +476,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
+        data = _block(data, "a scenario")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -476,15 +485,23 @@ class ScenarioSpec:
             raise SpecError("a scenario dict must carry an explicit 'seed'")
         fault = data.get("fault")
         shard = data.get("shard")
+        tenants = data.get("tenants", ())
+        if not isinstance(tenants, (list, tuple)):
+            raise SpecError(f"tenants must be a list, got {tenants!r}")
+        # The seed is uncoerced: __post_init__ rejects "3", 2.5 and True.
         return cls(
-            name=data["name"],
-            seed=int(data["seed"]),
+            name=data.get("name", ""),
+            seed=data["seed"],
             description=data.get("description", ""),
             tags=tuple(data.get("tags", ())),
-            topology=TopologySpec.from_dict(data.get("topology", {})),
-            tenants=tuple(TenantSpec.from_dict(t)
-                          for t in data.get("tenants", ())),
-            traffic=TrafficSpec.from_dict(data.get("traffic", {})),
-            fault=FaultSpec.from_dict(fault) if fault else None,
-            shard=ShardSpec.from_dict(shard) if shard else None,
+            topology=TopologySpec.from_dict(
+                _block(data.get("topology", {}), "topology")),
+            tenants=tuple(TenantSpec.from_dict(_block(t, "a tenant"))
+                          for t in tenants),
+            traffic=TrafficSpec.from_dict(
+                _block(data.get("traffic", {}), "traffic")),
+            fault=(FaultSpec.from_dict(_block(fault, "fault"))
+                   if fault is not None else None),
+            shard=(ShardSpec.from_dict(_block(shard, "shard"))
+                   if shard is not None else None),
         )

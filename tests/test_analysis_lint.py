@@ -223,6 +223,12 @@ class TestRuleBehaviour:
                 "    return random.Random()\n")
         assert not [f for f in lint_source(text) if f.rule == "SNIC006"]
 
+    def test_snic006_scope_covers_the_differential_harness(self):
+        from repro.analysis.rules.chaos_seed import _name_in_scope
+
+        assert _name_in_scope("repro.faults.differential")
+        assert _name_in_scope("repro.faults.chaos")
+
     def test_snic006_plan_rng_draws_are_fine(self):
         text = ("def fault_jitter(plan):\n"
                 "    return plan.rng.randint(0, 10)\n")

@@ -3,6 +3,7 @@ S-NIC attributes exactly zero, and the whole audit is deterministic."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -16,6 +17,12 @@ from repro.obs.audit import (
     run_audit,
 )
 from repro.obs.interference import RESOURCES
+
+#: sha256 of ``run_audit(quick=True)`` as ``--format json``.  Item 2 of
+#: ROADMAP.md (one datapath) changes the model and re-baselines this
+#: value, together with the CI fixtures.
+AUDIT_QUICK_SHA256 = \
+    "38e2bd41a3d79aad97e09bb15faa02c658700e564a96ea21f831e89cc6319e6b"
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +97,11 @@ class TestDeterminism:
         again = run_audit(quick=True)
         assert format_scorecard_json(scorecard) == \
             format_scorecard_json(again)
+
+
+    def test_json_matches_the_recorded_digest(self, scorecard):
+        rendered = format_scorecard_json(scorecard).encode()
+        assert hashlib.sha256(rendered).hexdigest() == AUDIT_QUICK_SHA256
 
 
 class TestRendering:

@@ -20,7 +20,6 @@ from repro.obs.interference import (
     blame_matrix,
     cross_tenant_events,
     cross_tenant_wait_ns,
-    format_matrix,
     get_accountant,
 )
 
@@ -67,15 +66,6 @@ class TestAccountant:
         assert cross_tenant_wait_ns(matrix) == 37.0
         assert cross_tenant_events(matrix) == 2.0
         assert cross_tenant_wait_ns(matrix, resource="dram") == 7.0
-
-    def test_format_matrix_renders_cells(self):
-        get_accountant().blame("bus", victim=VICTIM, culprit=AGGRESSOR,
-                               wait_ns=90.0)
-        text = format_matrix(blame_matrix())
-        assert "[bus]" in text and "90ns/1ev" in text
-
-    def test_format_matrix_empty(self):
-        assert "no interference recorded" in format_matrix({})
 
 
 class TestFCFSWaitAttributor:

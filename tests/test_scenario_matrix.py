@@ -181,3 +181,9 @@ class TestSpecFiles:
         bad.write_text('{"name": "x"}')
         assert matrix_main(["--spec", str(bad), "--quick"]) == 2
         assert "bad --spec file" in capsys.readouterr().err
+
+    def test_cli_rejects_malformed_spec_block(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"name": "x", "seed": 1, "shard": 3}')
+        assert matrix_main(["--spec", str(bad), "--quick"]) == 2
+        assert "bad --spec file" in capsys.readouterr().err

@@ -129,6 +129,19 @@ class TestRoundTrip:
         with pytest.raises(SpecError):
             ScenarioSpec.from_dict(data)
 
+    @pytest.mark.parametrize("override", [
+        {"shard": 3}, {"fault": 5}, {"traffic": 3}, {"topology": "snic"},
+        {"tenants": 5}, {"tenants": [5]}, {"seed": "abc"}, {"seed": 2.5},
+        {"seed": True},
+    ])
+    def test_from_dict_rejects_malformed_input(self, override):
+        # Malformed blocks fail as SpecError, never TypeError or
+        # AttributeError, and the seed is never coerced.
+        data = demo_spec().to_dict()
+        data.update(override)
+        with pytest.raises(SpecError):
+            ScenarioSpec.from_dict(data)
+
     def test_params_render_as_dict_but_hash_as_tuple(self):
         nf = NFSpec(kind="firewall", params={"rules": 16})
         assert nf.to_dict()["params"] == {"rules": 16}
