@@ -26,6 +26,7 @@ instance is treated as mutation of that instance.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +56,10 @@ _MUTATORS = frozenset({
 })
 
 
+#: The ``:<line>`` of a ``"<modname>:<line> <evidence>"`` reason.
+_SITE_LINE = re.compile(r"^([\w.]+):\d+ ")
+
+
 @dataclass
 class ModuleStateInfo:
     """One module-level binding and its shard-safety classification."""
@@ -75,14 +80,16 @@ class ModuleStateInfo:
         return f"{self.modname}.{self.name}"
 
     def as_dict(self) -> Dict[str, object]:
+        """The manifest entry, free of line numbers so moved code
+        leaves it unchanged (reasons differing only by line merge)."""
         return {
             "name": self.name,
-            "line": self.lineno,
             "kind": self.kind,
             "mutable": self.mutable,
             "classification": "shard-safe" if self.shard_safe
             else "shard-unsafe",
-            "reasons": list(self.reasons),
+            "reasons": list(dict.fromkeys(
+                _SITE_LINE.sub(r"\1 ", reason) for reason in self.reasons)),
             "aliases": list(self.aliases),
         }
 

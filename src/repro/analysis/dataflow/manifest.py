@@ -7,11 +7,11 @@ message-passing (shard-unsafe).  ``python -m repro dataflow --manifest
 PATH`` writes exactly that inventory, deterministically (sorted keys,
 no timestamps), so two runs over the same tree are byte-identical.
 
-Schema (``repro.shard-safety`` v1)::
+Schema (``repro.shard-safety`` v2)::
 
     {
       "schema": "repro.shard-safety",
-      "version": 1,
+      "version": 2,
       "n_modules": <int>,          # modules with >=1 module-level binding
       "n_mutables": <int>,         # mutable bindings inventoried
       "n_shard_unsafe": <int>,
@@ -19,9 +19,9 @@ Schema (``repro.shard-safety`` v1)::
         "<modname>": {
           "imported_by": ["<modname>", ...],
           "mutables": [
-            {"name": ..., "line": ..., "kind": ...,
+            {"name": ..., "kind": ...,
              "mutable": true, "classification": "shard-safe|shard-unsafe",
-             "reasons": ["<modname>:<line> <evidence>", ...],
+             "reasons": ["<modname> <evidence>", ...],
              "aliases": ["<importing module>", ...]},
             ...
           ]
@@ -29,6 +29,10 @@ Schema (``repro.shard-safety`` v1)::
       },
       "shard_unsafe": ["<modname>.<NAME>", ...]   # flat sorted index
     }
+
+Version 2 drops source line numbers (v1 had a ``line`` per entry and a
+``:<line>`` per reason), so the committed manifest changes only when
+the classification or its evidence does, not when code moves.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from repro.analysis.dataflow.escape import ModuleStateInfo
 from repro.analysis.dataflow.graph import ProgramGraph
 
 SCHEMA = "repro.shard-safety"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def build_manifest(graph: ProgramGraph,

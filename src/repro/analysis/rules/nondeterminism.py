@@ -7,8 +7,9 @@ that promise:
 
 * **SNIC002** — wall-clock reads (``time.time``), module-level random
   draws (``random.random()`` instead of a seeded ``random.Random``),
-  and set iteration feeding ``schedule()`` (set order is
-  hash-randomized across processes for str/bytes elements).
+  RNG seeds built from the built-in ``hash()`` (randomized per process
+  by PYTHONHASHSEED for str/bytes), and set iteration feeding
+  ``schedule()`` (set order is hash-randomized the same way).
   ``time.perf_counter``/``perf_counter_ns`` are deliberately *not*
   flagged: they measure host wall-time for profiling and never feed
   simulated time.
@@ -49,6 +50,14 @@ _RANDOM_DRAWS = {
 }
 _RANDOM_MODULES = {"random", "np.random", "numpy.random"}
 
+#: Seeded-RNG constructors and reseeders: their seed arguments must be
+#: stable across processes.
+_RNG_SEEDERS = {
+    "random.Random", "random.seed",
+    "np.random.default_rng", "np.random.seed",
+    "numpy.random.default_rng", "numpy.random.seed",
+}
+
 _SCHEDULE_METHODS = {"schedule", "schedule_at"}
 
 #: Modules whose ``*_ns`` state is kernel sim-time (integral by
@@ -59,6 +68,13 @@ _KERNEL_MODULES = ("repro.hw.events", "repro.core.runtime")
 def _is_schedule_call(node: ast.Call) -> bool:
     func = node.func
     return isinstance(func, ast.Attribute) and func.attr in _SCHEDULE_METHODS
+
+
+def _calls_hash(node: ast.Call) -> bool:
+    """Whether any argument of ``node`` calls the built-in ``hash()``."""
+    return any(isinstance(child, ast.Call) and dotted_name(child.func) == "hash"
+               for arg in [*node.args, *node.keywords]
+               for child in ast.walk(arg))
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -81,7 +97,8 @@ class NondeterminismRule(Rule):
                  "bit-identical reruns; wall clocks, unseeded global "
                  "RNGs, and set iteration order break that")
     hint = ("use a seeded random.Random(seed)/np.random.default_rng(seed) "
-            "instance, simulated time (Simulator.now_ns), and sorted() "
+            "instance with a stable seed (repro.scenario.spec.derive_seed, "
+            "not hash()), simulated time (Simulator.now_ns), and sorted() "
             "before iterating a set whose order reaches schedule()")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
@@ -92,6 +109,11 @@ class NondeterminismRule(Rule):
                     yield self.finding(
                         module, node,
                         f"wall-clock read {name}() in simulation code")
+                elif name in _RNG_SEEDERS and _calls_hash(node):
+                    yield self.finding(
+                        module, node,
+                        f"{name}() seeded from the built-in hash(), which "
+                        f"PYTHONHASHSEED randomizes per process")
                 elif "." in name:
                     prefix, _, attr = name.rpartition(".")
                     if prefix in _RANDOM_MODULES and attr in _RANDOM_DRAWS:

@@ -7,9 +7,16 @@ on the discrete-event kernel (:mod:`repro.hw.events`):
 
 * packet arrivals are scheduled at their trace timestamps;
 * the packet input module runs at line-rate granularity (per arrival);
-* each function's cores poll their RX ring on a fixed interval and
-  spend a modelled per-packet service time;
+* each function's cores poll their RX ring on a fixed grid of
+  ``poll_interval_ns`` (the first poll at one interval) and spend a
+  modelled per-packet service time, serially from the poll instant;
 * the output module drains TX rings as functions produce packets.
+
+Polling is wake-on-enqueue: a delivery schedules its function's poll
+at the next grid boundary unless one is pending, and polls never
+re-arm.  Latency is what a poll on every boundary would give, idle
+functions cost no events, and a run ends when the kernel runs out of
+work, with every packet completed or dropped.
 
 The runtime records per-packet end-to-end latency (wire-in → wire-out),
 giving latency/throughput distributions for full-system experiments.
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.hw.events import Simulator
+from repro.hw.events import EventHandle, Simulator
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.obs.tracer import get_tracer
@@ -91,8 +98,8 @@ class SNICRuntime:
         self.on_complete: Optional[Callable[[int, int, int], None]] = None
         self._functions: Dict[int, NetworkFunction] = {}
         self._arrival_by_identity: Dict[int, List[int]] = {}
-        self._last_arrival_ns = 0
-        self._began = False
+        #: nf_id -> its pending poll, if one is scheduled.
+        self._polls: Dict[int, EventHandle] = {}
         # Bind the tracer at construction time, not import time: shard
         # workers build their runtime after per-process isolation, so
         # the instance must see *that* process's tracer singleton.
@@ -108,13 +115,23 @@ class SNICRuntime:
             raise ValueError(f"NF {nf_id} is not live on this S-NIC")
         self._functions[nf_id] = nf
 
+    def detach(self, nf_id: int) -> Optional[NetworkFunction]:
+        """Unbind ``nf_id``'s NF and forget its queued work; returns it.
+
+        Its pending poll is cancelled and the arrival times of packets
+        still in its ring are dropped (the ring dies with the identity).
+        """
+        poll = self._polls.pop(nf_id, None)
+        if poll is not None:
+            poll.cancel()
+        self._arrival_by_identity.pop(nf_id, None)
+        return self._functions.pop(nf_id, None)
+
     # ------------------------------------------------------------------
 
     def inject(self, packets: Sequence[Packet]) -> None:
         """Schedule packet arrivals at their ``arrival_ns`` timestamps."""
         for packet in packets:
-            self._last_arrival_ns = max(self._last_arrival_ns,
-                                        packet.arrival_ns)
             self.sim.schedule_at(
                 packet.arrival_ns, lambda p=packet: self._on_arrival(p)
             )
@@ -133,6 +150,11 @@ class SNICRuntime:
                 continue
             queue = self._arrival_by_identity.setdefault(nf_id, [])
             queue.extend([self.sim.now_ns] * count)
+            if nf_id in self._functions and nf_id not in self._polls:
+                interval = self.poll_interval_ns
+                boundary = max(1, -(-self.sim.now_ns // interval)) * interval
+                self._polls[nf_id] = self.sim.schedule_at(
+                    boundary, lambda n=nf_id: self._poll(n))
             if tracer.enabled:
                 tracer.counter_sample(
                     f"nf{nf_id}.rx_ring",
@@ -141,6 +163,7 @@ class SNICRuntime:
                     cat="runtime")
 
     def _poll(self, nf_id: int) -> None:
+        self._polls.pop(nf_id, None)
         record = self.snic.record(nf_id)
         nf = self._functions[nf_id]
         served = 0
@@ -168,9 +191,6 @@ class SNICRuntime:
                         n, r, a
                     ),
                 )
-        # Re-arm the poll loop while the experiment runs.
-        if self._running:
-            self.sim.schedule(self.poll_interval_ns, lambda: self._poll(nf_id))
 
     def _on_complete(self, nf_id: int, packet: Packet, arrival_ns: int) -> None:
         record = self.snic.record(nf_id)
@@ -191,49 +211,12 @@ class SNICRuntime:
 
     # ------------------------------------------------------------------
 
-    _running = False
-
-    def begin(self) -> None:
-        """Arm every attached function's poll loop without running the
-        kernel; :meth:`drain` then runs it.  Idempotent."""
-        if self._began:
-            return
-        self._began = True
-        self._running = True
-        for nf_id in self._functions:
-            self.sim.schedule(self.poll_interval_ns, lambda n=nf_id: self._poll(n))
-
-    def drain(self) -> RuntimeStats:
-        """Run until only re-armed polls remain: stop once every
-        injected packet has completed or been dropped."""
-        if not self._began:
-            raise RuntimeError("drain() before begin()")
-        horizon = 0
-        while True:
-            self.sim.advance(self.poll_interval_ns * 4)
-            pending_work = any(
-                self.snic.record(nf_id).vpp.rx_ring.occupancy
-                for nf_id in self._functions
-            )
-            arrivals_pending = self.sim.now_ns <= self._last_arrival_ns
-            if (not pending_work and not self.snic.rx_port._staged
-                    and not arrivals_pending):
-                horizon += 1
-                if horizon >= 3:
-                    break
-            else:
-                horizon = 0
-        self._stop()
-        return self.stats
-
     def run(self, duration_ns: Optional[int] = None) -> RuntimeStats:
-        """Run the experiment until the queue drains (or ``duration_ns``)."""
-        self.begin()
-        if duration_ns is not None:
-            self.sim.schedule(duration_ns, self._stop)
-            self.sim.run(until_ns=duration_ns)
-            return self.stats
-        return self.drain()
+        """Run until every injected packet has completed or been dropped
+        (or, with ``duration_ns``, up to that instant).
 
-    def _stop(self) -> None:
-        self._running = False
+        Safe to call again after an exception escaped a callback (an
+        injected NF crash): the kernel resumes where it stopped.
+        """
+        self.sim.run(until_ns=duration_ns)
+        return self.stats

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.obs.profile import Profiler
@@ -65,26 +65,27 @@ def reset_kernel_stats() -> None:
     _KERNEL.sim_ns_advanced = 0
 
 
-@dataclass(order=True)
+@dataclass
 class _Event:
-    time_ns: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    work: bool
+    live: bool = True  # False once it has run or been cancelled
 
 
 class EventHandle:
     """Returned by :meth:`Simulator.schedule`; allows cancellation."""
 
-    def __init__(self, event: _Event) -> None:
+    def __init__(self, sim: "Simulator", event: _Event) -> None:
+        self._sim = sim
         self._event = event
 
     def cancel(self) -> None:
-        self._event.cancelled = True
-
-    @property
-    def time_ns(self) -> int:
-        return self._event.time_ns
+        """Drop the event if it has not run yet; later calls are no-ops."""
+        event = self._event
+        if event.live:
+            event.live = False
+            if event.work:
+                self._sim._work -= 1
 
 
 class Simulator:
@@ -92,13 +93,18 @@ class Simulator:
 
     Events scheduled for the same instant fire in scheduling order
     (stable), which keeps component interactions deterministic.
+
+    Every event is either *work* (:meth:`schedule`) or an *observer
+    tick* (:meth:`every`: window rotation, time-series sampling).  A run
+    without a horizon ends when no work remains, so observers never
+    keep a simulation alive and never need to know when it is over.
     """
 
     def __init__(self) -> None:
-        self._queue: List[_Event] = []
+        self._queue: List[Tuple[int, int, _Event]] = []
         self._sequence = itertools.count()
         self._now_ns = 0
-        self._running = False
+        self._work = 0
         self._profiler: Optional[Profiler] = None
 
     def set_profiler(self, profiler: Optional[Profiler]) -> None:
@@ -113,30 +119,57 @@ class Simulator:
     def now_ns(self) -> int:
         return self._now_ns
 
-    def schedule(self, delay_ns: int, callback: Callable[[], None]) -> EventHandle:
-        """Run ``callback`` ``delay_ns`` nanoseconds from now."""
+    def _push(self, delay_ns: int, callback: Callable[[], None],
+              work: bool) -> _Event:
         if delay_ns < 0:
             raise ValueError("cannot schedule events in the past")
-        event = _Event(
-            time_ns=self._now_ns + int(delay_ns),
-            sequence=next(self._sequence),
-            callback=callback,
-        )
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        time_ns = self._now_ns + int(delay_ns)
+        event = _Event(callback, work)
+        heapq.heappush(self._queue, (time_ns, next(self._sequence), event))
+        if work:
+            self._work += 1
+        return event
+
+    def schedule(self, delay_ns: int, callback: Callable[[], None]) -> EventHandle:
+        """Run ``callback`` ``delay_ns`` nanoseconds from now."""
+        return EventHandle(self, self._push(delay_ns, callback, work=True))
 
     def schedule_at(self, time_ns: int, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at absolute simulated time ``time_ns``."""
         return self.schedule(time_ns - self._now_ns, callback)
 
+    def every(self, interval_ns: int,
+              callback: Callable[[], None]) -> EventHandle:
+        """Run ``callback`` every ``interval_ns`` from now, as an observer.
+
+        Ticks are never work: a run without a horizon returns once the
+        last work event has run, and a tick still queued fires only if
+        later work (or a horizon) carries the clock past it.  Cancelling
+        the handle, also from inside ``callback``, stops the ticks.
+        """
+        if interval_ns <= 0:
+            raise ValueError("tick interval must be positive")
+        interval_ns = int(interval_ns)
+
+        def tick() -> None:
+            handle._event = self._push(interval_ns, tick, work=False)
+            callback()
+
+        handle = EventHandle(self, self._push(interval_ns, tick, work=False))
+        return handle
+
     def step(self) -> bool:
         """Run the next pending event; returns False when queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            time_ns, _, event = heapq.heappop(queue)
+            if not event.live:
                 continue
-            advanced = event.time_ns - self._now_ns
-            self._now_ns = event.time_ns
+            event.live = False
+            if event.work:
+                self._work -= 1
+            advanced = time_ns - self._now_ns
+            self._now_ns = time_ns
             profiler = self._profiler
             if profiler is not None:
                 host_start = perf_counter_ns()
@@ -151,18 +184,26 @@ class Simulator:
         return False
 
     def run(self, until_ns: Optional[int] = None, max_events: int = 10_000_000) -> int:
-        """Drain events, optionally stopping at ``until_ns``.
+        """Run events, stopping when no work is left or at ``until_ns``.
 
-        Returns the number of events executed.  ``max_events`` guards
-        against accidental infinite self-rescheduling loops.
+        Without ``until_ns`` the run returns as soon as the last work
+        event has run; observer ticks due before it run in time order.
+        With it, every event up to ``until_ns`` runs, ticks included,
+        and the clock then stands at ``until_ns``.  Returns the number
+        of events executed; ``max_events`` guards against accidental
+        infinite self-rescheduling loops.
         """
         executed = 0
-        while self._queue and executed < max_events:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and executed < max_events:
+            time_ns, _, head = queue[0]
+            if not head.live:
+                heapq.heappop(queue)
                 continue
-            if until_ns is not None and head.time_ns > until_ns:
+            if until_ns is None:
+                if not self._work:
+                    break
+            elif time_ns > until_ns:
                 break
             self.step()
             executed += 1
@@ -176,5 +217,5 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
-
+        """Live work events still queued (observer ticks excluded)."""
+        return self._work

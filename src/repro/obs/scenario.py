@@ -128,7 +128,7 @@ def run_cotenancy_scenario(
             profiler.attach_kernel(runtime.sim)
         runtime.inject(built.make_packets())
         # Kernel-driven sampling: one aligned row per poll interval,
-        # ending by itself when the runtime drains (stop-when-idle).
+        # ending with the run at the last completion (observer ticks).
         sampler = TimeSeriesSampler(runtime.sim,
                                     interval_ns=runtime.poll_interval_ns)
         for tenant in tenants:
@@ -140,7 +140,7 @@ def run_cotenancy_scenario(
         sampler.start()
         stats = runtime.run()
         sampler.stop()
-        sampler.sample_now()  # the post-drain steady state
+        sampler.sample_now()  # the state after the last completion
         if profiler is not None:
             profiler.detach_kernel(runtime.sim)
         if timeseries_path:

@@ -15,11 +15,11 @@ aligned row per tick into per-series ring buffers.  Because the sampler
 rides the same integer-nanosecond queue as the workload, its samples
 are deterministic: same workload, same cadence, byte-identical CSV.
 
-Termination is cooperative: on each tick the sampler only reschedules
-itself while the simulation still has other pending work (or until an
-explicit ``until_ns`` horizon), so a drain loop like
-``while sim.pending: sim.step()`` cannot be kept alive forever by its
-own telemetry.
+The ticks are observer events (:meth:`Simulator.every`): they never
+count as work, so ``sim.run()`` still returns when the workload's last
+event has run, and the last sample is the last tick at or before it.
+``sim.run(until_ns=...)`` samples on the grid up to that horizon,
+with or without other work.
 
 For model-driven series with no event kernel at all (the monitor cost
 model plots memory over *seconds* of host time), :func:`sample_function`
@@ -90,8 +90,8 @@ class TimeSeriesSampler:
         sampler.watch("ring_occupancy", lambda: float(nic.rx_ring.depth))
         sampler.watch("cache_misses", lambda: misses.value)
         sampler.start()
-        ... run the workload ...
-        sampler.sample_now()          # final row after the drain
+        sim.run()                     # ... the workload ...
+        sampler.sample_now()          # final row after the last event
         sampler.write_csv("out.csv")
     """
 
@@ -105,7 +105,6 @@ class TimeSeriesSampler:
         self._probes: Dict[str, Probe] = {}
         self._series: Dict[str, Series] = {}
         self._handle = None
-        self._until_ns: Optional[int] = None
         self.samples_taken = 0
 
     # ------------------------------------------------------------------
@@ -137,21 +136,12 @@ class TimeSeriesSampler:
             self._series[name].append(now, float(probe()))
         self.samples_taken += 1
 
-    def start(self, until_ns: Optional[int] = None,
-              sample_immediately: bool = True) -> None:
-        """Begin periodic sampling.
-
-        Without ``until_ns`` the sampler stops by itself once the rest
-        of the simulation goes idle; with it, sampling continues on the
-        grid up to (and including) that horizon regardless of other
-        pending work.
-        """
+    def start(self) -> None:
+        """Sample now, then every ``interval_ns`` as an observer tick."""
         if self._handle is not None:
             raise RuntimeError("sampler already started")
-        self._until_ns = until_ns
-        if sample_immediately:
-            self.sample_now()
-        self._handle = self.sim.schedule(self.interval_ns, self._tick)
+        self.sample_now()
+        self._handle = self.sim.every(self.interval_ns, self.sample_now)
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -161,22 +151,6 @@ class TimeSeriesSampler:
     @property
     def running(self) -> bool:
         return self._handle is not None
-
-    def _tick(self) -> None:
-        self._handle = None
-        if self._until_ns is not None and self.sim.now_ns > self._until_ns:
-            return
-        self.sample_now()
-        next_time = self.sim.now_ns + self.interval_ns
-        if self._until_ns is not None:
-            if next_time <= self._until_ns:
-                self._handle = self.sim.schedule(self.interval_ns, self._tick)
-        elif self.sim.pending > 0:
-            # Cooperative shutdown: our own event has already popped, so
-            # ``pending`` counts only *other* work.  Nothing left means
-            # the workload is done and rescheduling would keep a
-            # drain-until-empty loop alive forever.
-            self._handle = self.sim.schedule(self.interval_ns, self._tick)
 
     # ------------------------------------------------------------------
     # export

@@ -7,11 +7,11 @@ right shape for end-of-run scorecards but useless for *rate* questions
 **right now**", which needs per-window deltas.
 
 :class:`WindowedAggregator` rides the event kernel exactly like
-:class:`~repro.obs.timeseries.TimeSeriesSampler` (same cooperative
-termination, same no-wall-clock discipline): every ``window_ns`` of
-simulated time it *rotates*, snapshotting the delta of every tracked
-instrument since the previous rotation into a :class:`WindowSnapshot`.
-Deltas are first-class instruments, not flat numbers:
+:class:`~repro.obs.timeseries.TimeSeriesSampler` (an observer tick from
+:meth:`Simulator.every`, so it never keeps a run alive; no wall clock):
+every ``window_ns`` of simulated time it *rotates*, snapshotting the
+delta of every tracked instrument since the previous rotation into a
+:class:`WindowSnapshot`.  Deltas are first-class instruments, not flat numbers:
 
 * counter deltas are floats (``value_now - value_at_window_start``);
 * histogram deltas are real :class:`~repro.obs.metrics.Histogram`
@@ -253,16 +253,17 @@ class WindowedAggregator:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Kernel scheduling (the TimeSeriesSampler discipline)
+    # Kernel scheduling: an observer tick, like the TimeSeriesSampler
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Schedule rotations every ``window_ns`` of simulated time."""
+        """Rotate every ``window_ns`` of simulated time while work runs."""
         if self._handle is not None:
             raise RuntimeError("aggregator already started")
         self._window_start_ns = float(self.sim.now_ns)
         self._prime_bases()
-        self._handle = self.sim.schedule(self.window_ns, self._tick)
+        # Looked up per tick, so a wrapped ``rotate`` is what ticks call.
+        self._handle = self.sim.every(self.window_ns, lambda: self.rotate())
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -281,15 +282,6 @@ class WindowedAggregator:
                                         instrument.count, instrument.sum)
             elif isinstance(instrument, (Counter, Gauge)):
                 self._counter_base[key] = instrument.value
-
-    def _tick(self) -> None:
-        self._handle = None
-        self.rotate()
-        if self.sim.pending > 0:
-            # Cooperative shutdown: our own event already popped, so
-            # ``pending`` counts only other work — don't keep a
-            # drain-until-empty loop alive with our own rotations.
-            self._handle = self.sim.schedule(self.window_ns, self._tick)
 
     def close(self, now_ns: Optional[float] = None) -> None:
         """Stop and capture any final partial window.

@@ -28,6 +28,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.perf.che import LinePopulation
+from repro.scenario.spec import derive_seed
 
 LINE_BYTES = 64
 
@@ -132,7 +133,7 @@ class AccessModel:
             if region.pattern == "zipf":
                 ranks = np.arange(1, n + 1, dtype=np.float64)
                 w = ranks ** (-region.skew)
-                rng = np.random.default_rng(hash((self.name, index)) & 0xFFFF)
+                rng = np.random.default_rng(derive_seed(0, self.name, index))
                 rng.shuffle(w)
             else:
                 w = np.full(n, 1.0)

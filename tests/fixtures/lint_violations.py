@@ -35,6 +35,11 @@ def unseeded_jitter():
     return random.random() * 100
 
 
+def hash_seeded_rng(name):
+    # SNIC002: hash() of a str differs per process (PYTHONHASHSEED).
+    return random.Random(hash(name))
+
+
 def schedule_from_set(flows):
     # SNIC002: set iteration order escapes into schedule() arguments.
     for flow in set(flows):

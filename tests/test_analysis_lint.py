@@ -116,6 +116,19 @@ class TestRuleBehaviour:
         dirty = "import random\nx = random.random()\n"
         assert [f for f in lint_source(dirty) if f.rule == "SNIC002"]
 
+    def test_snic002_hash_seeded_rng(self):
+        text = textwrap.dedent("""
+            import random
+            import numpy as np
+            a = random.Random(hash("fw"))
+            b = np.random.default_rng(seed=hash(("fw", 0)) & 0xFFFF)
+            random.seed(derive_seed(0, "fw"))
+            c = np.random.default_rng(7).choice(hash)
+        """)
+        findings = [f for f in lint_source(text) if f.rule == "SNIC002"]
+        assert [f.line for f in findings] == [4, 5]
+        assert all("hash()" in f.message for f in findings)
+
     def test_snic002_set_iteration_into_schedule(self):
         text = textwrap.dedent("""
             def f(sim, items):

@@ -138,3 +138,132 @@ class TestRuntime:
         assert stats.completed == 10
         assert mon_a.stats.received == 5
         assert mon_b.stats.received == 5
+
+
+def two_tenant_system():
+    snic = SNIC(n_cores=2, dram_bytes=128 * MB, key_seed=98)
+    nic_os = NICOS(snic)
+    ids = []
+    for name, core, prefix in (("a", 0, "20.0.0.0/8"), ("b", 1, "30.0.0.0/8")):
+        ids.append(nic_os.NF_create(NFConfig(
+            name=name, core_ids=(core,), memory_bytes=4 * MB,
+            vpp=VPPConfig(rules=[MatchRule(
+                dst_prefix=Prefix.parse(prefix))]))).nf_id)
+    return snic, ids
+
+
+def mixed_trace():
+    """Arrivals on poll boundaries, between them, at t=0, at the same
+    instant for both tenants, and a burst that outlasts one interval."""
+    schedule = [("20.0.0.1", t) for t in (2_000, 4_000, 4_000, 16_000)]
+    schedule += [("30.0.0.1", t) for t in (0, 2_500, 3_100, 4_000, 9_999)]
+    schedule += [("20.0.0.1", 5_000 + 10 * i) for i in range(8)]
+    schedule += [("30.0.0.1", 12_001 + 7 * i) for i in range(5)]
+    packets = []
+    for i, (dst, t) in enumerate(schedule):
+        packet = Packet.make("10.0.0.1", dst, src_port=3000 + i, dst_port=80)
+        packet.arrival_ns = t
+        packets.append(packet)
+    return packets
+
+
+class AlwaysPollingRuntime(SNICRuntime):
+    """Reference model: every attached NF polls on every boundary, busy
+    or idle, re-arming itself until an explicit horizon."""
+
+    def _on_arrival(self, packet):
+        self.snic.rx_port.wire_arrival(packet)
+        for nf_id, count in self.snic.process_ingress().items():
+            if nf_id == -1:
+                self.stats.dropped += count
+            else:
+                self._arrival_by_identity.setdefault(nf_id, []).extend(
+                    [self.sim.now_ns] * count)
+
+    def _poll(self, nf_id):
+        super()._poll(nf_id)
+        self.sim.schedule(self.poll_interval_ns, lambda: self._poll(nf_id))
+
+    def run_until(self, horizon_ns):
+        for nf_id in self._functions:
+            self.sim.schedule(self.poll_interval_ns,
+                              lambda n=nf_id: self._poll(n))
+        self.sim.run(until_ns=horizon_ns)
+        return self.stats
+
+
+def timing_multiset(stats):
+    return sorted((t.nf_id, t.arrival_ns, t.departure_ns)
+                  for t in stats.timings)
+
+
+class TestWakeOnEnqueue:
+    def test_burst_is_conserved_and_run_ends_idle(self):
+        snic, vnic = make_system()
+        runtime = SNICRuntime(snic)
+        runtime.attach(vnic.nf_id, Monitor())
+        runtime.inject(timed_packets(60, spacing_ns=10))
+        stats = runtime.run()
+        assert stats.completed + stats.dropped == 60
+        assert runtime.sim.pending == 0
+
+    def test_matches_the_always_polling_reference(self):
+        results = []
+        for cls in (SNICRuntime, AlwaysPollingRuntime):
+            snic, ids = two_tenant_system()
+            runtime = cls(snic)
+            for nf_id in ids:
+                runtime.attach(nf_id, Monitor())
+            runtime.inject(mixed_trace())
+            if cls is SNICRuntime:
+                stats = runtime.run()
+            else:
+                stats = runtime.run_until(200_000)
+            results.append(timing_multiset(stats))
+        ours, reference = results
+        assert len(ours) == len(mixed_trace())
+        assert ours == reference
+
+    def test_idle_functions_schedule_no_polls(self):
+        snic, ids = two_tenant_system()
+        runtime = SNICRuntime(snic)
+        for nf_id in ids:
+            runtime.attach(nf_id, Monitor())
+        packet = Packet.make("10.0.0.1", "20.0.0.1", src_port=1, dst_port=80)
+        packet.arrival_ns = 50_000
+        runtime.inject([packet])
+        # One arrival, one poll (at the 50 us boundary), one completion.
+        assert runtime.sim.run() == 3
+        assert runtime.stats.timings[0].latency_ns == 600
+
+    def test_detach_cancels_the_pending_poll(self):
+        snic, vnic = make_system()
+        runtime = SNICRuntime(snic)
+        mon = Monitor()
+        runtime.attach(vnic.nf_id, mon)
+        runtime.inject(timed_packets(1))
+        runtime.sim.run(until_ns=1_000)  # delivered, poll due at 2 us
+        assert runtime.sim.pending == 1
+        assert runtime.detach(vnic.nf_id) is mon
+        assert runtime.sim.pending == 0
+        assert runtime.run().completed == 0
+
+
+def p99_of(**knobs):
+    snic, ids = two_tenant_system()
+    runtime = SNICRuntime(snic, **knobs)
+    for nf_id in ids:
+        runtime.attach(nf_id, Monitor())
+    runtime.inject(mixed_trace())
+    return runtime.run().latency_percentile(99)
+
+
+class TestKnobSensitivity:
+    def test_poll_interval_config(self):
+        assert p99_of(poll_interval_ns=1_000) < p99_of(poll_interval_ns=2_000) \
+            < p99_of(poll_interval_ns=8_000)
+
+    def test_service_time_config(self):
+        assert p99_of(service_ns_per_packet=300) \
+            < p99_of(service_ns_per_packet=600) \
+            < p99_of(service_ns_per_packet=2_400)

@@ -96,3 +96,64 @@ class TestSimulator:
 
     def test_step_empty_returns_false(self):
         assert Simulator().step() is False
+
+
+class TestWorkAndObservers:
+    def test_cancel_twice_leaves_pending_unchanged(self):
+        sim = Simulator()
+        handle = sim.schedule(10, lambda: None)
+        sim.schedule(20, lambda: None)
+        assert sim.pending == 2
+        handle.cancel()
+        assert sim.pending == 1
+        handle.cancel()
+        assert sim.pending == 1
+
+    def test_cancel_after_run_leaves_pending_unchanged(self):
+        sim = Simulator()
+        handle = sim.schedule(10, lambda: None)
+        sim.schedule(20, lambda: None)
+        sim.run(until_ns=15)
+        assert sim.pending == 1
+        handle.cancel()
+        assert sim.pending == 1
+        assert sim.run() == 1 and sim.pending == 0
+
+    def test_ticks_are_not_pending_work(self):
+        sim = Simulator()
+        sim.every(10, lambda: None)
+        assert sim.pending == 0
+        assert sim.run() == 0 and sim.now_ns == 0
+
+    def test_run_ends_at_the_last_work_event(self):
+        sim = Simulator()
+        ticks = []
+        sim.every(10, lambda: ticks.append(sim.now_ns))
+        sim.schedule(35, lambda: None)
+        sim.run()
+        assert ticks == [10, 20, 30] and sim.now_ns == 35
+
+    def test_horizon_runs_ticks_without_work(self):
+        sim = Simulator()
+        ticks = []
+        sim.every(10, lambda: ticks.append(sim.now_ns))
+        sim.run(until_ns=40)
+        assert ticks == [10, 20, 30, 40] and sim.now_ns == 40
+
+    def test_ticker_cancel_stops_ticks_even_from_its_callback(self):
+        sim = Simulator()
+        ticks = []
+        handle = None
+
+        def tick():
+            ticks.append(sim.now_ns)
+            if len(ticks) == 2:
+                handle.cancel()
+
+        handle = sim.every(10, tick)
+        sim.run(until_ns=100)
+        assert ticks == [10, 20]
+
+    def test_every_rejects_nonpositive_interval(self):
+        with pytest.raises(ValueError):
+            Simulator().every(0, lambda: None)

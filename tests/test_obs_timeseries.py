@@ -1,5 +1,5 @@
 """Kernel-driven time-series sampling: deterministic cadence,
-cooperative shutdown, aligned export."""
+observer ticks that end with the work, aligned export."""
 
 from __future__ import annotations
 
@@ -38,11 +38,6 @@ class TestSeries:
             Series("x", capacity=0)
 
 
-def drain(sim: Simulator) -> None:
-    while sim.pending:
-        sim.step()
-
-
 def workload(sim: Simulator, counter: dict, at_ns) -> None:
     for t in at_ns:
         sim.schedule(t, lambda: counter.__setitem__(
@@ -57,17 +52,17 @@ class TestSampler:
         sampler = TimeSeriesSampler(sim, interval_ns=1000)
         series = sampler.watch("events_seen", lambda: float(counter["n"]))
         sampler.start()
-        drain(sim)  # terminates: the sampler stops rescheduling itself
-        assert not sampler.running
-        assert series.times == [0.0, 1000.0, 2000.0, 3000.0, 4000.0, 5000.0]
-        assert series.values == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        sim.run()  # terminates: sampler ticks are not work
+        assert sim.pending == 0 and sim.now_ns == 4300
+        assert series.times == [0.0, 1000.0, 2000.0, 3000.0, 4000.0]
+        assert series.values == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_until_horizon_keeps_sampling_without_other_work(self):
         sim = Simulator()
         sampler = TimeSeriesSampler(sim, interval_ns=500)
         series = sampler.watch("const", lambda: 7.0)
-        sampler.start(until_ns=2000)
-        drain(sim)
+        sampler.start()
+        sim.run(until_ns=2000)
         assert series.times == [0.0, 500.0, 1000.0, 1500.0, 2000.0]
         assert all(v == 7.0 for v in series.values)
 
@@ -79,7 +74,7 @@ class TestSampler:
             sampler = TimeSeriesSampler(sim, interval_ns=1000)
             sampler.watch("events_seen", lambda: float(counter["n"]))
             sampler.start()
-            drain(sim)
+            sim.run()
             sampler.sample_now()
             return sampler.to_csv()
 
@@ -93,7 +88,7 @@ class TestSampler:
 
     def test_double_start_rejected(self):
         sampler = TimeSeriesSampler(Simulator(), interval_ns=100)
-        sampler.start(until_ns=1000)
+        sampler.start()
         with pytest.raises(RuntimeError):
             sampler.start()
 
@@ -106,8 +101,8 @@ class TestSampler:
         sampler = TimeSeriesSampler(sim, interval_ns=100)
         sampler.watch("b_metric", lambda: 2.0)
         sampler.watch("a_metric", lambda: 1.0)
-        sampler.start(until_ns=200)
-        drain(sim)
+        sampler.start()
+        sim.run(until_ns=200)
         header, rows = sampler.rows()
         assert header == ["time_ns", "a_metric", "b_metric"]
         assert rows == [[0.0, 1.0, 2.0], [100.0, 1.0, 2.0],
@@ -120,8 +115,8 @@ class TestSampler:
         sim = Simulator()
         sampler = TimeSeriesSampler(sim, interval_ns=100)
         sampler.watch("x", lambda: 3.5)
-        sampler.start(until_ns=100)
-        drain(sim)
+        sampler.start()
+        sim.run(until_ns=100)
         path = tmp_path / "series.json"
         sampler.write_json(str(path))
         payload = json.loads(path.read_text())
@@ -132,10 +127,10 @@ class TestSampler:
         sim = Simulator()
         sampler = TimeSeriesSampler(sim, interval_ns=100)
         series = sampler.watch("x", lambda: 1.0)
-        sampler.start(until_ns=10_000)
+        sampler.start()
         sampler.stop()
         assert not sampler.running
-        drain(sim)  # the cancelled tick must not fire
+        sim.run(until_ns=10_000)  # the cancelled tick must not fire
         assert series.times == [0.0]
 
 

@@ -120,6 +120,23 @@ class TestKernelDriven:
         assert sim.now_ns <= 400
         assert not sim.pending
 
+    def test_two_observers_stop_with_the_work(self, registry):
+        from repro.obs.timeseries import TimeSeriesSampler
+
+        sim = Simulator()
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry)
+        agg.start()
+        sampler = TimeSeriesSampler(sim, interval_ns=70)
+        series = sampler.watch("x", lambda: 1.0)
+        sampler.start()
+        sim.schedule_at(250, lambda: None)
+        executed = sim.run(max_events=100_000)
+        # 2 rotations + 3 samples + the one work event.
+        assert executed == 6
+        assert sim.now_ns == 250 and sim.pending == 0
+        assert [s.end_ns for s in agg.snapshots] == [100.0, 200.0]
+        assert series.times == [0.0, 70.0, 140.0, 210.0]
+
     def test_start_twice_raises(self, registry):
         sim = Simulator()
         agg = WindowedAggregator(sim, window_ns=100, registry=registry)

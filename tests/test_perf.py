@@ -139,6 +139,27 @@ class TestWorkloads:
         b = model.generate_stream(100, seed=9)
         assert (a == b).all()
 
+    def test_stream_independent_of_hash_seed(self):
+        # The built-in hash() of a str changes with PYTHONHASHSEED; the
+        # per-region shuffle seed must not.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = ("from repro.perf.workloads import NF_ACCESS_MODELS; "
+                "print(NF_ACCESS_MODELS['FW'].generate_stream(200, seed=5)"
+                ".tolist())")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(outputs) == 1
+
     def test_fw_dpi_nat_have_biggest_hot_sets(self):
         def hot_bytes(name):
             return NF_ACCESS_MODELS[name].regions[0].size_bytes
