@@ -51,9 +51,8 @@ Commands:
   the per-rule suppression table and fails on stale
   ``# snic: ignore[...]`` comments)
 * ``dataflow`` — whole-program dataflow analysis: cross-tenant taint
-  (SNIC009) and shard-safety certification (SNIC010) with a committed
-  baseline (``--format text|json|github``, ``--manifest PATH`` writes
-  the shard-safety manifest for the sharding refactor)
+  (SNIC009) with a committed baseline (``--format text|json|github``,
+  ``--write-baseline PATH``)
 * ``sanitize`` — determinism checker: run the co-tenancy demo twice
   and fail on event-stream digest divergence (``--shards`` also
   asserts that sharded reports do not depend on the worker count)
@@ -88,8 +87,8 @@ _COMMANDS = {
                   "the hash chain, --diff two bundles",
     "lint": "S-NIC-specific static analysis SNIC001-SNIC008 "
             "(--format text|json|github, --stats)",
-    "dataflow": "whole-program taint + shard-safety analysis "
-                "SNIC009-SNIC010 (--manifest PATH, --write-baseline)",
+    "dataflow": "whole-program cross-tenant taint analysis SNIC009 "
+                "(--write-baseline PATH)",
     "sanitize": "determinism checker: same seed must give the same "
                 "event-stream digest (--shards adds worker-count "
                 "invariance)",
@@ -120,7 +119,7 @@ def _info() -> None:
     print("forensics: python -m repro postmortem BUNDLE "
           "[--verify] [--diff OTHER] [--tail N]")
     print("analysis: python -m repro lint [--format github] [--stats]; "
-          "python -m repro dataflow [--manifest PATH]; "
+          "python -m repro dataflow [--write-baseline PATH]; "
           "python -m repro sanitize")
     print()
     print("run `python -m repro help` for one line per command")
@@ -177,10 +176,13 @@ def _trace(argv: list) -> int:
             print(f"{entry.name:<20} [{tags}]  {entry.description}")
         return 0
 
+    from repro.obs.telemetry import open_run
+
     try:
-        summary = registry.run(args.scenario, quick=args.quick,
-                               out_path=args.out, n_packets=args.packets,
-                               metrics_path=args.metrics)
+        with open_run() as telemetry:
+            summary = registry.run(args.scenario, quick=args.quick,
+                                   out_path=args.out, n_packets=args.packets,
+                                   metrics_path=args.metrics)
     except registry.UnknownScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -191,7 +193,7 @@ def _trace(argv: list) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True, default=repr))
         return 0
 
-    from repro.obs import export, get_registry
+    from repro.obs import export
 
     print(f"wrote {summary['trace_path']}: {summary['events']} events, "
           f"{summary['spans']} spans")
@@ -203,7 +205,7 @@ def _trace(argv: list) -> int:
     if summary["metrics_path"]:
         print(f"wrote {summary['metrics_path']} (metrics registry dump)")
     print()
-    print(export.format_metrics_table(get_registry(),
+    print(export.format_metrics_table(telemetry.registry,
                                       title="metrics snapshot"))
     print()
     print("open the trace in https://ui.perfetto.dev or chrome://tracing")

@@ -5,19 +5,14 @@ subpackage is the interprocedural layer that proves — approximately,
 with documented unsoundness (DESIGN.md §1.10) — the paper's central
 structural claim: **every path from one tenant's state to another
 passes through a mediation choke point** (NIC-OS denylist walks,
-attestation verdicts, scrub).  Three cooperating analyses:
+attestation verdicts, scrub).  Two cooperating analyses:
 
 * :mod:`repro.analysis.dataflow.graph` — module/import graph plus an
   approximate call graph built purely from the ASTs;
 * :mod:`repro.analysis.dataflow.taint` — interprocedural taint with
   sources = tenant-owned data (page bytes, ring frames, port drains),
   sanitizers = the PR 7 audit-trail choke points, sinks = cross-tenant
-  emission points; unmediated source→sink paths are rule **SNIC009**;
-* :mod:`repro.analysis.dataflow.escape` — module-level shared-mutable-
-  state escape analysis classifying every global and cross-module alias
-  as shard-safe or shard-unsafe (rule **SNIC010**), feeding the
-  shard-safety manifest (:mod:`repro.analysis.dataflow.manifest`) that
-  the ROADMAP item 2 multiprocessing shard refactor consumes.
+  emission points; unmediated source→sink paths are rule **SNIC009**.
 
 Run it as ``python -m repro dataflow`` (text/json/github formats,
 ``# snic: ignore[...]`` suppressions shared with the lint engine, and a
@@ -27,19 +22,13 @@ block CI while still being inventoried).
 
 from __future__ import annotations
 
-from repro.analysis.dataflow.escape import EscapeAnalysis, ModuleStateInfo
 from repro.analysis.dataflow.graph import CallSite, FunctionInfo, ProgramGraph
-from repro.analysis.dataflow.manifest import build_manifest, write_manifest
 from repro.analysis.dataflow.taint import TaintAnalysis, TaintFlow
 
 __all__ = [
     "CallSite",
-    "EscapeAnalysis",
     "FunctionInfo",
-    "ModuleStateInfo",
     "ProgramGraph",
     "TaintAnalysis",
     "TaintFlow",
-    "build_manifest",
-    "write_manifest",
 ]

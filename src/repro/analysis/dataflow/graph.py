@@ -1,6 +1,6 @@
 """Module/import graph and approximate call graph over parsed ASTs.
 
-Everything downstream (taint, escape analysis, the manifest) consumes
+The taint analysis (:mod:`repro.analysis.dataflow.taint`) consumes
 :class:`ProgramGraph`.  Call resolution is deliberately approximate —
 Python has no static types to lean on — and the approximations are
 ranked by confidence (DESIGN.md §1.10 catalogues the unsoundness):
@@ -69,8 +69,6 @@ class ProgramGraph:
     """The whole-program view every dataflow pass consumes."""
 
     modules: Dict[str, ModuleSource] = field(default_factory=dict)
-    #: module -> analysed modules it imports (suffix-resolved).
-    imports: Dict[str, Set[str]] = field(default_factory=dict)
     #: module -> {local alias -> imported module name} for module aliases.
     module_aliases: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: module -> {local name -> (source module, source name)} for
@@ -105,7 +103,7 @@ class ProgramGraph:
         """Match an imported dotted name to an analysed module.
 
         Exact match first; otherwise suffix match (so fixture trees
-        outside the ``repro`` package still form import edges).
+        outside the ``repro`` package still resolve).
         """
         if dotted in self.modules:
             return dotted
@@ -116,7 +114,6 @@ class ProgramGraph:
         return candidates[0] if len(candidates) == 1 else None
 
     def _index_imports(self, module: ModuleSource) -> None:
-        edges = self.imports.setdefault(module.modname, set())
         aliases = self.module_aliases.setdefault(module.modname, {})
         names = self.imported_names.setdefault(module.modname, {})
         for node in ast.walk(module.tree):
@@ -125,14 +122,12 @@ class ProgramGraph:
                     target = self._resolve_module(item.name)
                     if target is None:
                         continue
-                    edges.add(target)
                     local = item.asname or item.name.split(".")[0]
                     aliases[local] = target
             elif isinstance(node, ast.ImportFrom) and node.module:
                 target = self._resolve_module(node.module)
                 if target is None:
                     continue
-                edges.add(target)
                 for item in node.names:
                     if item.name == "*":
                         continue
@@ -247,18 +242,5 @@ class ProgramGraph:
     # Queries
     # ------------------------------------------------------------------
 
-    def call_sites(self) -> Iterator[CallSite]:
-        for caller in sorted(self.calls):
-            yield from self.calls[caller]
-
     def sites_in(self, qualname: str) -> List[CallSite]:
         return self.calls.get(qualname, [])
-
-    def module_of(self, qualname: str) -> str:
-        info = self.functions.get(qualname)
-        return info.modname if info is not None else ""
-
-    def importers_of(self, modname: str) -> List[str]:
-        """Modules with an import edge to ``modname`` (sorted)."""
-        return sorted(src for src, targets in self.imports.items()
-                      if modname in targets and src != modname)

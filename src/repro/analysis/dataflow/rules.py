@@ -1,21 +1,19 @@
-"""The whole-program rules: SNIC009 (cross-tenant taint) and SNIC010
-(shard-unsafe shared state).
+"""The whole-program rule SNIC009 (cross-tenant taint).
 
-Both are :class:`repro.analysis.lint.ProgramRule` subclasses so they
-plug into the same registry, formats, and ``# snic: ignore[...]``
-suppression machinery as SNIC001–008; they run under
-``python -m repro dataflow`` because they need every module at once.
+It is a :class:`repro.analysis.lint.ProgramRule` subclass so it plugs
+into the same registry, formats, and ``# snic: ignore[...]``
+suppression machinery as SNIC001–008; it runs under
+``python -m repro dataflow`` because it needs every module at once.
 Each finding carries a stable ``key`` fingerprint (qualnames, not line
 numbers) that the committed baseline matches against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, Sequence
 
-from repro.analysis.dataflow.escape import EscapeAnalysis, ModuleStateInfo
 from repro.analysis.dataflow.graph import ProgramGraph
-from repro.analysis.dataflow.taint import TaintAnalysis, TaintFlow
+from repro.analysis.dataflow.taint import TaintAnalysis
 from repro.analysis.lint import Finding, ModuleSource, ProgramRule
 
 
@@ -65,52 +63,3 @@ class CrossTenantFlowRule(ProgramRule):
                     f"<-{flow.chain[-1]}:{source.name}",
             )
 
-
-class SharedMutableStateRule(ProgramRule):
-    rule_id = "SNIC010"
-    title = "shard-unsafe module-level mutable state"
-    rationale = ("ROADMAP item 2 (SimBricks-style sharding): "
-                 "module-level mutables written after import time "
-                 "diverge across multiprocessing shards and break the "
-                 "byte-identical merged-report contract")
-    hint = ("move the state into an object owned by the scenario/shard, "
-            "reset it via an explicit reset() seam, or record it in the "
-            "shard-safety baseline with a merge plan; suppress with "
-            "# snic: ignore[SNIC010] only for state that is "
-            "per-process by design")
-
-    def check_program(
-            self, modules: Sequence[ModuleSource]) -> Iterator[Finding]:
-        graph = ProgramGraph.build(modules)
-        infos = EscapeAnalysis(graph).run()
-        for info in infos:
-            if info.shard_safe:
-                continue
-            module = _module_for(modules, info.modname)
-            evidence = "; ".join(info.reasons[:3])
-            more = len(info.reasons) - 3
-            if more > 0:
-                evidence += f"; +{more} more"
-            alias_note = ""
-            if info.aliases:
-                alias_note = (" (aliased by "
-                              + ", ".join(info.aliases) + ")")
-            yield Finding(
-                rule=self.rule_id,
-                message=(
-                    f"module-level {info.kind} {info.name!r} is "
-                    f"shard-unsafe: {evidence}{alias_note}"),
-                path=str(module.path),
-                line=info.lineno,
-                col=info.col,
-                hint=self.hint,
-                key=info.qualname,
-            )
-
-
-def analyze(modules: Sequence[ModuleSource]) -> Dict[str, object]:
-    """One-stop analysis for the CLI: graph, flows, state inventory."""
-    graph = ProgramGraph.build(modules)
-    flows: List[TaintFlow] = TaintAnalysis(graph).run()
-    infos: List[ModuleStateInfo] = EscapeAnalysis(graph).run()
-    return {"graph": graph, "flows": flows, "state": infos}

@@ -41,9 +41,7 @@ _Method = Callable[..., Any]
 
 from repro.core.errors import IsolationViolation
 from repro.hw.memory import FREE, PhysicalMemory
-from repro.obs.auditlog import get_emitter
-
-_AUDIT = get_emitter()
+from repro.obs.telemetry import current
 
 
 class _Interposer:
@@ -249,9 +247,10 @@ class IsoSan:
 
     def _violation(self, message: str) -> None:
         self.violations.append(message)
-        if _AUDIT.active:
-            _AUDIT.emit("isosan.violation",
-                        tenant=self.current_tenant(), message=message)
+        audit = current().audit
+        if audit is not None:
+            audit.emit("isosan.violation",
+                       tenant=self.current_tenant(), message=message)
         raise IsolationViolation(f"IsoSan: {message}")
 
     def _check_access(self, mem: PhysicalMemory, addr: int,

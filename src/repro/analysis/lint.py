@@ -213,11 +213,10 @@ class ProgramRule:
 
     Unlike :class:`Rule`, which sees one module at a time, a program
     rule sees every parsed module at once — that is what lets SNIC009
-    chase a taint path across function and module boundaries and
-    SNIC010 see a cross-module alias of a mutable.  Program rules run
-    under ``python -m repro dataflow`` (with baseline support), share
-    :class:`Finding`/format/suppression machinery with the per-module
-    engine, and are listed by ``repro lint --list-rules``.
+    chase a taint path across function and module boundaries.  Program
+    rules run under ``python -m repro dataflow`` (with baseline
+    support), share :class:`Finding`/format/suppression machinery with
+    the per-module engine, and are listed by ``repro lint --list-rules``.
     """
 
     rule_id: str = "SNIC000"
@@ -248,7 +247,7 @@ def receiver_token(node: ast.Call) -> str:
     """The last name component of the call receiver, lowercased.
 
     ``self.vnic._snic.memory.read(...)`` -> ``"memory"``;
-    ``get_registry().gauge(...)`` -> ``"get_registry"``;
+    ``registry_for(x).gauge(...)`` -> ``"registry_for"``;
     ``host.read(...)`` -> ``"host"``; plain ``read(...)`` -> ``""``.
     """
     func = node.func

@@ -45,9 +45,6 @@ def all_rules() -> List[Rule]:
 def all_program_rules() -> List[ProgramRule]:
     # Imported lazily: the dataflow package imports repro.analysis.lint,
     # which imports this module for default_rules().
-    from repro.analysis.dataflow.rules import (
-        CrossTenantFlowRule,
-        SharedMutableStateRule,
-    )
+    from repro.analysis.dataflow.rules import CrossTenantFlowRule
 
-    return [CrossTenantFlowRule(), SharedMutableStateRule()]
+    return [CrossTenantFlowRule()]

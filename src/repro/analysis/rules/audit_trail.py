@@ -9,7 +9,7 @@ events that actually reach it.  Two code shapes silently erode the
   scrubs pages (calls ``release_pages``/``zero_page``), a
   ``install``/``clear``/``lock`` method defined on a ``*TLB*`` class,
   or a function that raises :class:`AttestationError` directly, whose
-  body never routes an ``.emit(...)`` through the audit facade.  The
+  body never routes an ``.emit(...)`` through the run's audit sink.  The
   repo's convention is emission at the *choke point* (the TLB methods
   themselves, the scrub loop, the attestation ``_reject`` helper), so
   callers stay clean while every security action is witnessed exactly
@@ -79,8 +79,9 @@ def _attr_tail(node: ast.AST) -> str:
 
 
 def _emits_audit(func: ast.AST) -> bool:
-    """Does the function body contain an audit-facade ``.emit(...)``
-    (receiver has an ``audit`` component, e.g. ``_AUDIT.emit``)?"""
+    """Does the function body contain an audit-sink ``.emit(...)``
+    (receiver has an ``audit`` component, e.g. ``audit.emit`` or
+    ``self._telemetry.audit.emit``)?"""
     for node in ast.walk(func):
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
@@ -120,10 +121,10 @@ class AuditTrailRule(Rule):
                  "in the §4.6 witness trail; and one wall-clock value in "
                  "flight/postmortem code breaks the byte-identical "
                  "bundle contract CI enforces with cmp")
-    hint = ("route the action through the audit facade — "
-            "`if _AUDIT.active: _AUDIT.emit(...)` in the primitive "
-            "itself (TLB method, scrub loop, attestation reject "
-            "helper) — and keep time.time/perf_counter/datetime.now "
+    hint = ("route the action through the run's audit sink — "
+            "`audit = self._telemetry.audit; if audit is not None: "
+            "audit.emit(...)` in the primitive itself (TLB method, scrub "
+            "loop, attestation reject helper) — and keep time.time/perf_counter/datetime.now "
             "out of flight/auditlog/postmortem scope; timestamps come "
             "from the bound sim clock or deterministic ticks")
 

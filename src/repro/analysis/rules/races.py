@@ -7,8 +7,8 @@ back-to-back scenarios (the bench harness, the determinism checker's
 double run) observe each other through the shared module state, which is
 exactly the cross-run interference the isolation story forbids.  State a
 callback touches must be kernel-mediated — reachable from the simulator
-or the component the event belongs to — or one of the sanctioned
-process-wide observability singletons with an explicit reset.
+or the component the event belongs to, or its run's telemetry
+(:mod:`repro.obs.telemetry`).
 
 Approximation (documented, deliberately shallow): the rule resolves the
 callback argument of every ``schedule()``/``schedule_at()`` call — a

@@ -43,7 +43,7 @@ from repro.analysis.lint import (
     receiver_token,
 )
 
-_TRACER_METHODS = {"complete", "instant", "counter_sample", "span"}
+_TRACE_METHODS = {"complete", "instant", "counter_sample", "span"}
 _REGISTRY_METHODS = {"counter", "gauge", "histogram"}
 
 #: The observability plumbing itself mints/forwards instruments
@@ -72,7 +72,7 @@ class UntaggedTelemetryRule(Rule):
                 continue
             method = call_name(node)
             receiver = receiver_token(node)
-            if method in _TRACER_METHODS and "tracer" in receiver:
+            if method in _TRACE_METHODS and "tracer" in receiver:
                 if not has_keyword(node, "tenant"):
                     yield self.finding(
                         module, node,

@@ -30,9 +30,7 @@ from repro.crypto.keys import (
     quote_digest,
 )
 from repro.crypto.rsa import RSAPublicKey, rsa_verify
-from repro.obs.auditlog import get_emitter
-
-_AUDIT = get_emitter()
+from repro.obs.telemetry import current
 
 
 def _reject(reason: str) -> None:
@@ -42,8 +40,9 @@ def _reject(reason: str) -> None:
     rejection path is witnessed (lint rule SNIC008 checks for exactly
     this pairing).
     """
-    if _AUDIT.active:
-        _AUDIT.emit("attest.verdict", ok=False, reason=reason)
+    audit = current().audit
+    if audit is not None:
+        audit.emit("attest.verdict", ok=False, reason=reason)
     raise AttestationError(reason)
 
 
@@ -93,6 +92,7 @@ class Verifier:
         self.vendor_public = vendor_public
         self._rng = random.Random(seed) if seed is not None else random.SystemRandom()
         self._outstanding: Set[bytes] = set()
+        self._telemetry = current()
 
     def hello(self) -> bytes:
         """Step 1: a fresh nonce."""
@@ -128,9 +128,10 @@ class Verifier:
         ):
             _reject("function state hash does not match the expected image")
         self._outstanding.discard(quote.nonce)  # one-shot: prevents replay
-        if _AUDIT.active:
-            _AUDIT.emit("attest.verdict", ok=True,
-                        state_hash=quote.state_hash.hex())
+        audit = self._telemetry.audit
+        if audit is not None:
+            audit.emit("attest.verdict", ok=True,
+                       state_hash=quote.state_hash.hex())
 
     def complete_exchange(
         self, quote: AttestationQuote, expected_state_hash: Optional[bytes] = None

@@ -23,9 +23,7 @@ from repro.core.snic import NFConfig, SNIC
 from repro.core.virtual_nic import VirtualNIC
 from repro.hw.memory import HostMemory
 from repro.hw.mmu import PageTable
-from repro.obs.auditlog import get_emitter
-
-_AUDIT = get_emitter()
+from repro.obs.telemetry import current
 
 
 class NICOS:
@@ -41,6 +39,7 @@ class NICOS:
         #: the NIC OS sits *off* the datapath (§4.2) — which is exactly
         #: the property the chaos suite's NIC_OS_STALL class verifies.
         self.stalled = False
+        self._telemetry = current()
 
     def _check_stalled(self) -> None:
         if self.stalled:
@@ -100,10 +99,11 @@ class NICOS:
         last = (paddr + max(size, 1) - 1) // page_size
         for page in range(first, last + 1):
             if not self.snic.denylist.check_page(page):
-                if _AUDIT.active:
-                    _AUDIT.emit("denylist.blocked", op="os_access",
-                                page=page,
-                                owner=self.snic.memory.owner_of(page))
+                audit = self._telemetry.audit
+                if audit is not None:
+                    audit.emit("denylist.blocked", op="os_access",
+                               page=page,
+                               owner=self.snic.memory.owner_of(page))
                 raise IsolationViolation(
                     f"management core blocked: physical page {page} belongs "
                     "to a live network function (denylisted)"
@@ -117,10 +117,11 @@ class NICOS:
         new mapping to walk the denylist page table" (§4.2).
         """
         if not self.snic.denylist.check_page(ppage):
-            if _AUDIT.active:
-                _AUDIT.emit("denylist.blocked", op="tlb_update",
-                            page=ppage,
-                            owner=self.snic.memory.owner_of(ppage))
+            audit = self._telemetry.audit
+            if audit is not None:
+                audit.emit("denylist.blocked", op="tlb_update",
+                           page=ppage,
+                           owner=self.snic.memory.owner_of(ppage))
             raise IsolationViolation(
                 f"trusted hardware rejected TLB update: physical page "
                 f"{ppage} is denylisted"

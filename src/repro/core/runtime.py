@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.hw.events import EventHandle, Simulator
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
-from repro.obs.tracer import get_tracer
+from repro.obs.telemetry import current
 
 
 def percentile(ordered: Sequence[int], q: float) -> float:
@@ -100,14 +100,12 @@ class SNICRuntime:
         self._arrival_by_identity: Dict[int, List[int]] = {}
         #: nf_id -> its pending poll, if one is scheduled.
         self._polls: Dict[int, EventHandle] = {}
-        # Bind the tracer at construction time, not import time: shard
-        # workers build their runtime after per-process isolation, so
-        # the instance must see *that* process's tracer singleton.
-        self._tracer = get_tracer()
-        if self._tracer.enabled:
+        self._telemetry = current()
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             # Put every subsequent trace event on this run's simulated
             # clock, so hardware spans and packet spans share one axis.
-            self._tracer.use_clock(lambda: self.sim.now_ns)
+            tracer.use_clock(lambda: self.sim.now_ns)
 
     def attach(self, nf_id: int, nf: NetworkFunction) -> None:
         """Bind the behavioural NF that runs on ``nf_id``'s cores."""
@@ -139,11 +137,11 @@ class SNICRuntime:
     def _on_arrival(self, packet: Packet) -> None:
         self.snic.rx_port.wire_arrival(packet)
         delivered = self.snic.process_ingress()
-        tracer = self._tracer
+        tracer = self._telemetry.tracer
         for nf_id, count in delivered.items():
             if nf_id == -1:
                 self.stats.dropped += count
-                if tracer.enabled:
+                if tracer is not None:
                     tracer.instant("packet.drop", ts_ns=self.sim.now_ns,
                                    tenant=None, track="rx-port",
                                    cat="runtime", count=count)
@@ -155,7 +153,7 @@ class SNICRuntime:
                 boundary = max(1, -(-self.sim.now_ns // interval)) * interval
                 self._polls[nf_id] = self.sim.schedule_at(
                     boundary, lambda n=nf_id: self._poll(n))
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.counter_sample(
                     f"nf{nf_id}.rx_ring",
                     self.snic.record(nf_id).vpp.rx_ring.occupancy,
@@ -166,6 +164,7 @@ class SNICRuntime:
         self._polls.pop(nf_id, None)
         record = self.snic.record(nf_id)
         nf = self._functions[nf_id]
+        tracer = self._telemetry.tracer
         served = 0
         while True:
             frame = record.vpp.rx_ring.pop()
@@ -176,10 +175,10 @@ class SNICRuntime:
                 if self._arrival_by_identity.get(nf_id) else self.sim.now_ns
             result = nf.process(Packet.from_bytes(frame))
             finish = self.sim.now_ns + served * self.service_ns_per_packet
-            if self._tracer.enabled:
+            if tracer is not None:
                 # Serial per-core service: packet k occupies
                 # [now + (k-1)*service, now + k*service).
-                self._tracer.complete(
+                tracer.complete(
                     "nf.process",
                     finish - self.service_ns_per_packet,
                     self.service_ns_per_packet,
@@ -201,8 +200,9 @@ class SNICRuntime:
                 nf_id=nf_id, arrival_ns=arrival_ns, departure_ns=self.sim.now_ns
             )
         )
-        if self._tracer.enabled:
-            self._tracer.complete(
+        tracer = self._telemetry.tracer
+        if tracer is not None:
+            tracer.complete(
                 "packet.e2e", arrival_ns, self.sim.now_ns - arrival_ns,
                 tenant=nf_id, track="packet-latency", cat="runtime")
         if self.on_complete is not None:

@@ -56,7 +56,7 @@ from repro.faults.recovery import (
     Watchdog,
     retry_dma,
 )
-from repro.obs.interference import cross_tenant_wait_ns
+from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
 
 SCHEMA_VERSION = 1
 
@@ -657,7 +657,7 @@ def _side(kind: FaultKind, snic: bool, seed: int, rounds: int,
                     "message": f"{kind.value} injected into tenant "
                                f"{FAULTY} (seed {seed})"},
             spec=_crash_spec(seed) if kind is FaultKind.NF_CRASH else None)
-    (clean, _), (faulted, info), matrix = run_legs(
+    (clean, _), (faulted, info), telemetry = run_legs(
         lambda inject: rig(snic, inject, seed, rounds), forensic=forensic)
     disruption = {key: faulted[key] - clean[key] for key in sorted(clean)}
     return {
@@ -666,7 +666,8 @@ def _side(kind: FaultKind, snic: bool, seed: int, rounds: int,
         "disruption": disruption,  # signed; the total sums magnitudes
         "disruption_total": float(
             sum(abs(value) for value in disruption.values())),
-        "cross_tenant_wait_ns": float(cross_tenant_wait_ns(matrix)),
+        "cross_tenant_wait_ns": float(
+            cross_tenant_wait_ns(blame_matrix(telemetry.registry))),
         "info": info,
     }
 

@@ -26,12 +26,10 @@ from repro.core.errors import (IsolationViolation, RecoveryExhausted,
                                WatchdogTimeout)
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.obs import auditlog as auditlog_mod
-from repro.obs import flight as flight_mod
-from repro.obs import metrics as metrics_mod
 from repro.obs import postmortem as postmortem_mod
-from repro.obs.interference import BlameMatrix, blame_matrix
-from repro.obs.metrics import get_registry
+from repro.obs.auditlog import AuditLog
+from repro.obs.flight import FlightRecorder
+from repro.obs.telemetry import Telemetry, current, open_run
 
 Report = Dict[str, Any]
 _Leg = TypeVar("_Leg")
@@ -39,34 +37,29 @@ _Leg = TypeVar("_Leg")
 
 @contextmanager
 def study_scope() -> Iterator[bool]:
-    """IsoSan outermost around a whole study; yields whether it is
-    installed.  The metrics registry is reset on the way out."""
+    """IsoSan outermost around a whole study, in its own telemetry run;
+    yields whether IsoSan is installed."""
     from repro.analysis.isosan import get_isosan, sanitized
 
-    try:
-        with sanitized():
-            yield get_isosan().installed
-    finally:
-        metrics_mod.reset()
+    with open_run(), sanitized():
+        yield get_isosan().installed
 
 
-def run_legs(rig: Callable[[bool], _Leg], *, resource: Optional[str] = None,
+def run_legs(rig: Callable[[bool], _Leg], *,
              forensic: Optional[ContextManager[object]] = None
-             ) -> Tuple[_Leg, _Leg, BlameMatrix]:
-    """One configuration's two legs: ``rig(False)``, then ``rig(True)``
-    inside ``forensic`` (if given).
+             ) -> Tuple[_Leg, _Leg, Telemetry]:
+    """One configuration's two legs, each in its own telemetry run:
+    ``rig(False)``, then ``rig(True)`` inside ``forensic`` (if given).
 
-    The registry is reset before each leg, so the blame matrix (only
-    ``resource``'s, when named) is the perturbed leg's alone, and the
-    registry still holds that leg's instruments on return.
+    Returns both legs' results and the perturbed leg's telemetry, whose
+    registry holds that leg's blame matrix and instruments alone.
     """
-    metrics_mod.reset()
-    unperturbed = rig(False)
-    metrics_mod.reset()
-    with forensic if forensic is not None else nullcontext():
-        perturbed = rig(True)
-        matrix = blame_matrix(get_registry(), resource=resource)
-    return unperturbed, perturbed, matrix
+    with open_run():
+        unperturbed = rig(False)
+    with open_run() as telemetry:
+        with forensic if forensic is not None else nullcontext():
+            perturbed = rig(True)
+    return unperturbed, perturbed, telemetry
 
 
 @contextmanager
@@ -108,15 +101,13 @@ def injection_info(injector: Optional[FaultInjector],
 @contextmanager
 def forensics(directory: str, name: str, reason: object,
               spec: object = None) -> Iterator[None]:
-    """Arm the flight recorder and audit log around one perturbed leg,
-    which then leaves ``POSTMORTEM_<name>.json`` in ``directory``: a
-    crash bundle if a containment failure escapes, else one carrying
-    ``reason``.  Both are built from live state, before the next reset.
+    """Arm a fresh flight recorder and audit log on the current run
+    around one perturbed leg, which then leaves ``POSTMORTEM_<name>.json``
+    in ``directory``: a crash bundle if a containment failure escapes,
+    else one carrying ``reason``.
     """
-    flight_mod.reset()
-    auditlog_mod.reset()
-    auditlog_mod.enable_audit_log()
-    flight_mod.enable_flight_recording()
+    telemetry = current()
+    telemetry.arm(audit_log=AuditLog(), flight=FlightRecorder())
 
     def write(why: object) -> None:
         postmortem_mod.write_bundle(
@@ -131,8 +122,7 @@ def forensics(directory: str, name: str, reason: object,
     else:
         write(reason)
     finally:
-        flight_mod.reset()
-        auditlog_mod.reset()
+        telemetry.arm(audit_log=None, flight=None)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import FatalFunctionError, FaultInjected
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.obs.auditlog import get_emitter
-from repro.obs.metrics import get_registry
-from repro.obs.tracer import get_tracer
-
-_AUDIT = get_emitter()
+from repro.obs.telemetry import current
 
 _Method = Callable[..., Any]
 
@@ -96,6 +92,7 @@ class FaultInjector:
         #: (address, bitmask) pairs actually flipped in DRAM.
         self.flips: List[Tuple[int, int]] = []
         self.records: List[InjectionRecord] = []
+        self._telemetry = current()
 
     # ------------------------------------------------------------------
     # Arming
@@ -169,26 +166,28 @@ class FaultInjector:
         record = InjectionRecord(kind=kind, tenant=tenant, at_ns=at_ns,
                                  detail=dict(detail))
         self.records.append(record)
-        get_registry().counter(
+        telemetry = self._telemetry
+        telemetry.registry.counter(
             "faults_injected_total", kind=kind.value, tenant=tenant).inc()
-        if _AUDIT.active:
-            _AUDIT.emit("fault.injected", tenant=tenant, ts_ns=at_ns,
-                        fault_kind=kind.value,
-                        **{k: v for k, v in detail.items()
-                           if isinstance(v, (int, float, str, bool))
-                           and k != "fault_kind"})
-        tracer = get_tracer()
-        if tracer.enabled:
+        audit = telemetry.audit
+        if audit is not None:
+            audit.emit("fault.injected", tenant=tenant, ts_ns=at_ns,
+                       fault_kind=kind.value,
+                       **{k: v for k, v in detail.items()
+                          if isinstance(v, (int, float, str, bool))
+                          and k != "fault_kind"})
+        tracer = telemetry.tracer
+        if tracer is not None:
             tracer.instant(f"fault.{kind.value}", ts_ns=at_ns,
                            tenant=tenant, track="faults", cat="faults",
                            **{k: v for k, v in detail.items()
                               if isinstance(v, (int, float, str))})
 
     def _lifecycle(self, op: str, nf_id: int) -> None:
-        get_registry().counter(
+        self._telemetry.registry.counter(
             "faults_lifecycle_total", op=op, tenant=nf_id).inc()
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             tracer.instant(f"fault.lifecycle.{op}", tenant=nf_id,
                            track="faults", cat="faults")
 

@@ -26,11 +26,7 @@ from repro.core.errors import (
     WatchdogTimeout,
 )
 from repro.hw.memory import FREE, PhysicalMemory
-from repro.obs.auditlog import get_emitter
-from repro.obs.metrics import get_registry
-from repro.obs.tracer import get_tracer
-
-_AUDIT = get_emitter()
+from repro.obs.telemetry import current
 
 
 class Watchdog:
@@ -50,6 +46,7 @@ class Watchdog:
                                       Optional[int]]] = {}
         #: (name, fired_at_ns, tenant) for every expiry, in fire order.
         self.timeouts: List[Tuple[str, int, Optional[int]]] = []
+        self._telemetry = current()
 
     def arm(self, name: str, timeout_ns: int,
             on_timeout: Optional[Callable[[WatchdogTimeout], None]] = None,
@@ -81,14 +78,15 @@ class Watchdog:
         _handle, timeout_ns, on_timeout, tenant = self._timers.pop(name)
         fired_at = self.sim.now_ns
         self.timeouts.append((name, fired_at, tenant))
-        get_registry().counter(
+        self._telemetry.registry.counter(
             "fault_watchdog_timeouts_total", watchdog=name,
             tenant=tenant).inc()
-        if _AUDIT.active:
-            _AUDIT.emit("watchdog.timeout", tenant=tenant, ts_ns=fired_at,
-                        watchdog=name, timeout_ns=timeout_ns)
-        tracer = get_tracer()
-        if tracer.enabled:
+        audit = self._telemetry.audit
+        if audit is not None:
+            audit.emit("watchdog.timeout", tenant=tenant, ts_ns=fired_at,
+                       watchdog=name, timeout_ns=timeout_ns)
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             tracer.instant("fault.watchdog_timeout", ts_ns=fired_at,
                            tenant=tenant, track="faults", cat="faults",
                            watchdog=name)
@@ -139,16 +137,18 @@ def retry_dma(op: Callable[[int, float], Optional[float]],
             done += exc.bytes_done
             resume = exc.completion_ns if exc.completion_ns is not None \
                 else cursor
+            telemetry = current()
             if attempt >= policy.attempts:
-                if _AUDIT.active:
-                    _AUDIT.emit("recovery.exhausted", tenant=tenant,
-                                op="dma", attempts=policy.attempts,
-                                bytes_done=done)
+                audit = telemetry.audit
+                if audit is not None:
+                    audit.emit("recovery.exhausted", tenant=tenant,
+                               op="dma", attempts=policy.attempts,
+                               bytes_done=done)
                 raise RecoveryExhausted(
                     f"DMA retry budget ({policy.attempts}) exhausted "
                     f"after {done} bytes") from exc
             cursor = float(resume) + policy.backoff_ns(attempt)
-            get_registry().counter(
+            telemetry.registry.counter(
                 "fault_retries_total", op="dma", tenant=tenant).inc()
     return None  # pragma: no cover — loop always returns or raises
 
@@ -201,6 +201,7 @@ class NFSupervisor:
         self._restarts_by_name: Dict[str, int] = {}
         #: (old_nf_id, new_nf_id) per successful restart.
         self.restarts: List[Tuple[int, int]] = []
+        self._telemetry = current()
 
     def on_crash(self, nf_id: int) -> Any:
         """Recover ``nf_id``; returns the relaunched function's vNIC."""
@@ -210,10 +211,11 @@ class NFSupervisor:
         pages = list(record.pages)
         used = self._restarts_by_name.get(config.name, 0)
         if used >= self.max_restarts:
-            if _AUDIT.active:
-                _AUDIT.emit("recovery.exhausted", tenant=nf_id,
-                            op="nf_restart", name=config.name,
-                            attempts=self.max_restarts)
+            audit = self._telemetry.audit
+            if audit is not None:
+                audit.emit("recovery.exhausted", tenant=nf_id,
+                           op="nf_restart", name=config.name,
+                           attempts=self.max_restarts)
             raise RecoveryExhausted(
                 f"NF {config.name!r} exceeded its restart budget "
                 f"({self.max_restarts})")
@@ -233,15 +235,16 @@ class NFSupervisor:
         if nf is not None:
             self.runtime.attach(vnic.nf_id, nf)
         self.restarts.append((nf_id, vnic.nf_id))
-        get_registry().counter(
+        self._telemetry.registry.counter(
             "fault_restarts_total", nf=config.name,
             tenant=vnic.nf_id).inc()
-        if _AUDIT.active:
-            _AUDIT.emit("recovery.restart", tenant=vnic.nf_id,
-                        name=config.name, old_nf_id=nf_id,
-                        new_nf_id=vnic.nf_id, scrub_verified=True)
-        tracer = get_tracer()
-        if tracer.enabled:
+        audit = self._telemetry.audit
+        if audit is not None:
+            audit.emit("recovery.restart", tenant=vnic.nf_id,
+                       name=config.name, old_nf_id=nf_id,
+                       new_nf_id=vnic.nf_id, scrub_verified=True)
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             tracer.instant("fault.nf_restart", tenant=vnic.nf_id,
                            track="faults", cat="faults",
                            old_nf_id=nf_id, new_nf_id=vnic.nf_id)
@@ -262,18 +265,20 @@ class CommodityRecovery:
         self.reboot_ns = int(reboot_ns)
         #: (requested_at_ns, ready_at_ns) per cycle.
         self.cycles: List[Tuple[float, float]] = []
+        self._telemetry = current()
 
     def power_cycle(self, now_ns: float) -> float:
         """Reboot the NIC; returns when it is serving again."""
         ready = float(now_ns) + self.reboot_ns
         self.cycles.append((float(now_ns), ready))
-        get_registry().counter(
+        self._telemetry.registry.counter(
             "fault_power_cycles_total", tenant=None).inc()
-        if _AUDIT.active:
-            _AUDIT.emit("recovery.power_cycle", ts_ns=now_ns,
-                        reboot_ns=self.reboot_ns)
-        tracer = get_tracer()
-        if tracer.enabled:
+        audit = self._telemetry.audit
+        if audit is not None:
+            audit.emit("recovery.power_cycle", ts_ns=now_ns,
+                       reboot_ns=self.reboot_ns)
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             tracer.instant("fault.power_cycle", ts_ns=now_ns, tenant=None,
                            track="faults", cat="faults",
                            reboot_ns=self.reboot_ns)

@@ -28,10 +28,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.hw.memory import AccessFault
 from repro.hw.mmu import TLB
-from repro.obs.metrics import get_registry, instance_label
-from repro.obs.tracer import get_tracer
-
-_TRACER = get_tracer()
+from repro.obs.telemetry import current
 
 
 class AcceleratorKind(enum.Enum):
@@ -133,7 +130,9 @@ class AcceleratorCluster:
         self.completed: int = 0
         self._dispatch_interval_ns = 1e9 / FRONTEND_DISPATCH_RATE_RPS
         self._last_dispatch_ns = -1e18
-        self._obs_label = instance_label(f"{kind.value}-cluster{cluster_id}")
+        self._telemetry = current()
+        self._obs_label = self._telemetry.registry.instance_label(
+            f"{kind.value}-cluster{cluster_id}")
         self._obs_track = f"{kind.value}-cluster{cluster_id}"
         self._obs_by_tenant: Dict[Optional[int], tuple] = {}
         self._occupancy_gauge = None
@@ -186,7 +185,7 @@ class AcceleratorCluster:
         tenant = request.owner
         instruments = self._obs_by_tenant.get(tenant)
         if instruments is None:
-            registry = get_registry()
+            registry = self._telemetry.registry
             instruments = (
                 registry.counter("accel_requests_total",
                                  cluster=self._obs_label,
@@ -202,8 +201,8 @@ class AcceleratorCluster:
         requests_counter, latency_hist = instruments
         requests_counter.value += 1.0
         latency_hist.observe(request.latency_ns)
-        tracer = _TRACER
-        if tracer.enabled:
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             occupancy = self.threads.busy_at(dispatch_ns)
             self._occupancy_gauge.set(occupancy)
             tracer.complete(
@@ -271,6 +270,7 @@ class AcceleratorEngine:
         self._tlb_capacity = tlb_capacity_per_cluster
         self._shared_pool: Optional[_ThreadPool] = _ThreadPool(n_threads)
         self.clusters: List[AcceleratorCluster] = []
+        self._telemetry = current()
 
     @property
     def is_shared(self) -> bool:
@@ -287,8 +287,8 @@ class AcceleratorEngine:
         request.complete_ns = self._shared_pool.serve(request.issue_ns, service_ns)
         if request.work is not None:
             request.result = request.work()
-        tracer = _TRACER
-        if tracer.enabled:
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             # Commodity path: every tenant lands on the same shared
             # track, which is precisely the contention picture §3.2
             # complains about.

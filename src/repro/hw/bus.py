@@ -27,16 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.obs.interference import (
-    RESOURCE_BUS,
-    FCFSWaitAttributor,
-    get_accountant,
-)
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_registry, \
-    instance_label
-from repro.obs.tracer import get_tracer
-
-_TRACER = get_tracer()
+from repro.obs.interference import RESOURCE_BUS, FCFSWaitAttributor
+from repro.obs.metrics import Counter, Histogram
+from repro.obs.telemetry import current
 
 
 class BusCrashed(Exception):
@@ -84,7 +77,7 @@ class FCFSArbiter:
         #: Wait-for attribution: the FCFS queue is the archetypal
         #: cross-tenant interference source, so every queueing delay is
         #: blamed on the clients whose in-flight transfers caused it.
-        self._attribution = FCFSWaitAttributor(resource)
+        self._attribution = FCFSWaitAttributor(resource, current().accountant)
 
     def request(self, client: int, n_bytes: int, now_ns: float) -> float:
         start = max(now_ns, self._busy_until)
@@ -145,7 +138,7 @@ class TemporalPartitioningArbiter:
         self.dead_time_ns = dead_time_ns
         self.live_ns = epoch_ns - dead_time_ns
         self._cursor: Dict[int, float] = {d: 0.0 for d in domains}
-        self._accountant = get_accountant()
+        self._accountant = current().accountant
 
     @property
     def n_domains(self) -> int:
@@ -249,7 +242,7 @@ class DeficitRoundRobinArbiter:
         self.resource = resource
         #: Per-client service horizon: when that client's queued work ends.
         self._horizon: Dict[int, float] = {}
-        self._accountant = get_accountant()
+        self._accountant = current().accountant
 
     def request(self, client: int, n_bytes: int, now_ns: float) -> float:
         own_start = max(now_ns, self._horizon.get(client, 0.0))
@@ -295,13 +288,13 @@ class IOBus:
     """
 
     def __init__(self, arbiter: Union[FCFSArbiter, TemporalPartitioningArbiter,
-                                      DeficitRoundRobinArbiter],
-                 registry: Optional[MetricsRegistry] = None) -> None:
+                                      DeficitRoundRobinArbiter]) -> None:
         self.arbiter = arbiter
         self.requests: List[BusRequest] = []
         self.record = False
-        self._registry = registry or get_registry()
-        self._obs_label = instance_label("bus")
+        self._telemetry = current()
+        self._registry = self._telemetry.registry
+        self._obs_label = self._registry.instance_label("bus")
         self._bytes: Dict[int, Counter] = {}
         self._latency: Dict[int, Histogram] = {}
         self._wait: Dict[int, Histogram] = {}
@@ -341,8 +334,8 @@ class IOBus:
         bandwidth = getattr(self.arbiter, "bandwidth", None)
         if bandwidth:
             wait_hist.observe(max(0.0, latency - n_bytes / bandwidth))
-        tracer = _TRACER
-        if tracer.enabled:
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             tracer.complete("bus.transfer", now_ns, latency, tenant=client,
                             track="bus", cat="bus", bytes=n_bytes)
         if self.record:

@@ -26,16 +26,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.hw.memory import AccessFault
-from repro.obs.interference import RESOURCE_CACHE, get_accountant
-from repro.obs.metrics import Counter, MetricsRegistry, get_registry, instance_label
-from repro.obs.tracer import get_tracer
+from repro.obs.interference import RESOURCE_CACHE
+from repro.obs.metrics import Counter
+from repro.obs.telemetry import current
 
 SHARED = "shared"
 HARD = "hard"
 SOFT = "soft"
 _MODES = (SHARED, HARD, SOFT)
-
-_TRACER = get_tracer()
 
 #: Nominal fill latency used to give traced misses a visible duration.
 #: Doubles as the per-conflict-miss cost blamed on a cross-tenant
@@ -119,8 +117,7 @@ class CacheStats:
 class Cache:
     """One level of set-associative, LRU, write-allocate cache."""
 
-    def __init__(self, config: CacheConfig, name: str = "cache",
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
         self.name = name
         self.mode = SHARED
@@ -129,11 +126,12 @@ class Cache:
         # sets[s] is a list of lines currently resident (<= ways).
         self._sets: List[List[_Line]] = [[] for _ in range(config.n_sets)]
         self._clock = 0
-        self._registry = registry or get_registry()
-        self._obs_label = instance_label(name)
+        self._telemetry = current()
+        self._registry = self._telemetry.registry
+        self._obs_label = self._registry.instance_label(name)
         self.stats: Dict[int, CacheStats] = {}
         self._evictions: Dict[int, Counter] = {}
-        self._accountant = get_accountant()
+        self._accountant = self._telemetry.accountant
         #: Cross-tenant eviction memory: (set, tag, victim) -> culprit.
         #: A later miss by the victim on that line is a *conflict miss*
         #: the culprit caused; its refill latency is blamed on them.
@@ -238,8 +236,8 @@ class Cache:
                 if len(self._evicted_by) >= _EVICTION_MEMORY_CAP:
                     self._evicted_by.pop(next(iter(self._evicted_by)))
                 self._evicted_by[(set_index, victim_tag, victim_owner)] = owner
-        tracer = _TRACER
-        if tracer.enabled:
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             tracer.complete(
                 "cache.miss", tracer.now(), _MISS_FILL_NS,
                 tenant=owner, track=self.name, cat="cache", set=set_index)
@@ -322,9 +320,10 @@ class Cache:
         self._evicted_by = {key: culprit
                             for key, culprit in self._evicted_by.items()
                             if key[2] != owner}
-        if _TRACER.enabled:
-            _TRACER.instant("cache.scrub", tenant=owner, track=self.name,
-                            cat="cache", lines=evicted)
+        tracer = self._telemetry.tracer
+        if tracer is not None:
+            tracer.instant("cache.scrub", tenant=owner, track=self.name,
+                           cat="cache", lines=evicted)
         return evicted
 
     def flush_all(self) -> None:

@@ -17,11 +17,8 @@ from typing import Optional
 
 from repro.hw.memory import AccessFault, PhysicalMemory
 from repro.hw.mmu import GuardedAddressSpace, TLB
-from repro.obs.interference import RESOURCE_CORES, get_accountant
-from repro.obs.metrics import get_registry, instance_label
-from repro.obs.tracer import get_tracer
-
-_TRACER = get_tracer()
+from repro.obs.interference import RESOURCE_CORES
+from repro.obs.telemetry import current
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,9 @@ class ProgrammableCore:
         self.timing = timing or CoreTimingConfig()
         self.owner: Optional[int] = None  # NF id, or None when free
         self.address_space = GuardedAddressSpace(self.tlb, memory)
-        registry = get_registry()
-        obs_label = instance_label(f"core{core_id}")
+        self._telemetry = current()
+        registry = self._telemetry.registry
+        obs_label = registry.instance_label(f"core{core_id}")
         # Core-to-NF binding is dynamic: these per-core infrastructure
         # counters attribute ownership at sample time (the pull gauges
         # in repro.obs.scenario), not at mint time.
@@ -124,10 +122,11 @@ class ProgrammableCore:
         """
         self._stalls.value += n_cycles
         if culprit is not None and self.owner is not None:
-            get_accountant().blame(
+            self._telemetry.accountant.blame(
                 RESOURCE_CORES, victim=self.owner, culprit=culprit,
                 wait_ns=n_cycles * self.timing.cycle_ns)
-        if _TRACER.enabled:
-            _TRACER.instant("core.stall", tenant=self.owner,
-                            track=f"core{self.core_id}", cat="core",
-                            cycles=n_cycles)
+        tracer = self._telemetry.tracer
+        if tracer is not None:
+            tracer.instant("core.stall", tenant=self.owner,
+                           track=f"core{self.core_id}", cat="core",
+                           cycles=n_cycles)

@@ -19,10 +19,8 @@ from typing import List, Optional
 
 from repro.hw.bus import FCFSArbiter
 from repro.hw.memory import AccessFault, HostMemory, PhysicalMemory
-from repro.obs.metrics import Counter, get_registry, instance_label
-from repro.obs.tracer import get_tracer
-
-_TRACER = get_tracer()
+from repro.obs.metrics import Counter
+from repro.obs.telemetry import current
 
 #: Nominal DMA engine bandwidth (PCIe-ish, bytes/ns).
 DMA_ENGINE_BANDWIDTH = 8.0
@@ -72,7 +70,9 @@ class DMABank:
         self.nic_window: Optional[DMAWindow] = None
         self.host_window: Optional[DMAWindow] = None
         self._locked = False
-        self._obs_label = instance_label(f"dma{bank_id}")
+        self._telemetry = current()
+        self._obs_label = self._telemetry.registry.instance_label(
+            f"dma{bank_id}")
         self._bytes: Optional[Counter] = None
         self._rejects: Optional[Counter] = None
         #: The engine serving this bank's transfers.  S-NIC gives every
@@ -98,7 +98,7 @@ class DMABank:
         self.owner = owner
         self.nic_window = nic_window
         self.host_window = host_window
-        registry = get_registry()
+        registry = self._telemetry.registry
         self._bytes = registry.counter(
             "dma_bytes_total", bank=self._obs_label, tenant=owner)
         self._rejects = registry.counter(
@@ -139,13 +139,14 @@ class DMABank:
     def _count_reject(self) -> None:
         if self._rejects is not None:
             self._rejects.inc()
-        if _TRACER.enabled:
-            _TRACER.instant("dma.window_reject", tenant=self.owner,
-                            track=f"dma-bank{self.bank_id}", cat="dma")
+        tracer = self._telemetry.tracer
+        if tracer is not None:
+            tracer.instant("dma.window_reject", tenant=self.owner,
+                           track=f"dma-bank{self.bank_id}", cat="dma")
 
     def _trace_transfer(self, direction: str, n_bytes: int) -> None:
-        tracer = _TRACER
-        if tracer.enabled:
+        tracer = self._telemetry.tracer
+        if tracer is not None:
             # The window-checked copy is instantaneous in this model; a
             # nominal per-byte time gives the span visible width.
             tracer.complete(f"dma.{direction}", tracer.now(), n_bytes / 12.8,

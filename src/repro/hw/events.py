@@ -11,12 +11,12 @@ arbitration) lives in the component models.
 Telemetry
 ---------
 
-Every :class:`Simulator` feeds two process-wide counters — events
-executed and simulated nanoseconds advanced — exposed through
-:func:`kernel_stats`.  The benchmark harness (:mod:`repro.obs.bench`)
-snapshots them around each scenario so every ``BENCH_*.json`` records
-how much simulated work a benchmark actually did; the cost on the event
-hot path is two integer adds.
+Every :class:`Simulator` feeds two counters of the run it was built in
+(:class:`repro.obs.telemetry.Telemetry`) — events executed and simulated
+nanoseconds advanced.  The benchmark and matrix harnesses read them
+after each scenario so every ``BENCH_*.json`` records how much simulated
+work a benchmark actually did; the cost on the event hot path is two
+integer adds.
 
 A :class:`Simulator` can also carry a *profiler* (see
 :mod:`repro.obs.profile`): when attached via :meth:`Simulator.set_profiler`
@@ -32,37 +32,12 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+
+from repro.obs.telemetry import current
 
 if TYPE_CHECKING:
     from repro.obs.profile import Profiler
-
-
-class _KernelStats:
-    """Process-wide tallies of discrete-event work (cheap by design)."""
-
-    __slots__ = ("events_executed", "sim_ns_advanced")
-
-    def __init__(self) -> None:
-        self.events_executed = 0
-        self.sim_ns_advanced = 0
-
-
-_KERNEL = _KernelStats()
-
-
-def kernel_stats() -> Dict[str, int]:
-    """Cumulative counters across every :class:`Simulator` instance."""
-    return {
-        "events_executed": _KERNEL.events_executed,
-        "sim_ns_advanced": _KERNEL.sim_ns_advanced,
-    }
-
-
-def reset_kernel_stats() -> None:
-    """Zero the process-wide kernel counters (harness/test isolation)."""
-    _KERNEL.events_executed = 0
-    _KERNEL.sim_ns_advanced = 0
 
 
 @dataclass
@@ -106,6 +81,7 @@ class Simulator:
         self._now_ns = 0
         self._work = 0
         self._profiler: Optional[Profiler] = None
+        self._telemetry = current()
 
     def set_profiler(self, profiler: Optional[Profiler]) -> None:
         """Attach (or with ``None`` detach) a per-event profiler.
@@ -178,8 +154,9 @@ class Simulator:
                     event.callback, perf_counter_ns() - host_start, advanced)
             else:
                 event.callback()
-            _KERNEL.events_executed += 1
-            _KERNEL.sim_ns_advanced += advanced
+            telemetry = self._telemetry
+            telemetry.events_executed += 1
+            telemetry.sim_ns_advanced += advanced
             return True
         return False
 

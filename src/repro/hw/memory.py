@@ -19,12 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs.auditlog import get_emitter
+from repro.obs.telemetry import current
 
 #: Owner tag for pages not allocated to any network function.
 FREE = None
-
-_AUDIT = get_emitter()
 
 
 class AccessFault(Exception):
@@ -68,6 +66,7 @@ class PhysicalMemory:
         self.n_pages = size_bytes // page_size
         self._pages: Dict[int, bytearray] = {}
         self._info: Dict[int, PageInfo] = {}
+        self._telemetry = current()
 
     # ------------------------------------------------------------------
     # Page bookkeeping (the §4.1 hardware allocation bitmap)
@@ -130,9 +129,10 @@ class PhysicalMemory:
             info.owner = FREE
             info.denylisted = False
             released += 1
-        if _AUDIT.active:
-            _AUDIT.emit("memory.scrub", tenant=owner, pages=released,
-                        scrubbed=bool(scrub))
+        audit = self._telemetry.audit
+        if audit is not None:
+            audit.emit("memory.scrub", tenant=owner, pages=released,
+                       scrubbed=bool(scrub))
         return released
 
     def zero_page(self, page_index: int) -> None:

@@ -3,8 +3,11 @@
 Three pieces, designed to be cheap enough to leave compiled into every
 hot layer:
 
-* :mod:`repro.obs.tracer` — a span/instant/counter event tracer with a
-  no-op fast path when disabled.  Hooks live in ``hw.cache``,
+* :mod:`repro.obs.telemetry` — one :class:`Telemetry` per run holding
+  every sink below; :func:`open_run` makes a fresh one current and
+  components read their run's sinks, ``None`` while disarmed.
+* :mod:`repro.obs.tracer` — a span/instant/counter event tracer, armed
+  per run.  Hooks live in ``hw.cache``,
   ``hw.bus``, ``hw.dma``, ``hw.accelerator``, ``core.snic`` and
   ``core.runtime``; events are tenant-tagged so per-tenant interference
   on shared resources is directly visible.
@@ -21,7 +24,7 @@ hot layer:
   report exporters.
 * :mod:`repro.obs.bench` — the unified benchmark harness behind
   ``python -m repro bench``: runs every ``benchmarks/bench_*.py``
-  scenario under a fresh registry and writes a schema-versioned
+  scenario in its own run and writes a schema-versioned
   ``BENCH_<timestamp>.json`` with wall-time, sim-time, and event-count
   telemetry, plus artifact diffing with regression flags.
 * :mod:`repro.obs.interference` — per-tenant contention attribution:
@@ -60,40 +63,26 @@ Quickstart::
 
     from repro import obs
 
-    tracer = obs.enable_tracing(clock=lambda: sim.now_ns)
-    ...  # run any experiment
-    obs.write_chrome_trace(tracer, "trace.json")   # load in Perfetto
-    print(obs.format_metrics_table(obs.get_registry()))
+    with obs.open_run() as tel:
+        tracer = obs.Tracer(clock=lambda: sim.now_ns)
+        tel.arm(tracer=tracer)
+        ...  # run any experiment
+        obs.write_chrome_trace(tracer, "trace.json")   # load in Perfetto
+        print(obs.format_metrics_table(tel.registry))
 
 or run the packaged co-tenancy demo end to end::
 
     python -m repro trace -o snic_trace.json
 """
 
-from repro.obs.auditlog import (
-    GENESIS,
-    AuditEmitter,
-    AuditLog,
-    disable_audit_log,
-    enable_audit_log,
-    get_audit_log,
-    get_emitter,
-    verify_records,
-)
+from repro.obs.auditlog import GENESIS, AuditLog, verify_records
 from repro.obs.chrome_trace import to_chrome_trace, write_chrome_trace
-from repro.obs.flight import (
-    FlightEntry,
-    FlightRecorder,
-    disable_flight_recording,
-    enable_flight_recording,
-    get_flight_recorder,
-)
+from repro.obs.flight import FlightEntry, FlightRecorder
 from repro.obs.interference import (
     InterferenceAccountant,
     blame_matrix,
     cross_tenant_events,
     cross_tenant_wait_ns,
-    get_accountant,
 )
 from repro.obs.export import (
     format_metrics_table,
@@ -102,15 +91,7 @@ from repro.obs.export import (
     write_metrics_csv,
     write_metrics_json,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    instance_label,
-)
-from repro.obs.metrics import reset as reset_metrics
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.postmortem import (
     build_bundle,
     diff_bundles,
@@ -134,17 +115,10 @@ from repro.obs.slo import (
 )
 from repro.obs.timeseries import Series, TimeSeriesSampler, sample_function
 from repro.obs.windows import WindowedAggregator, WindowSnapshot
-from repro.obs.tracer import (
-    NOOP_SPAN,
-    TraceEvent,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-)
+from repro.obs.telemetry import Telemetry, current, open_run
+from repro.obs.tracer import TraceEvent, Tracer
 
 __all__ = [
-    "AuditEmitter",
     "AuditLog",
     "BurnRateAlert",
     "BurnRateAlerter",
@@ -157,12 +131,12 @@ __all__ = [
     "Histogram",
     "InterferenceAccountant",
     "MetricsRegistry",
-    "NOOP_SPAN",
     "ObjectiveResult",
     "Profiler",
     "SLOError",
     "SLOSpec",
     "Series",
+    "Telemetry",
     "TenantSLO",
     "TimeSeriesSampler",
     "TraceEvent",
@@ -173,28 +147,16 @@ __all__ = [
     "build_bundle",
     "cross_tenant_events",
     "cross_tenant_wait_ns",
+    "current",
     "diff_bundles",
-    "disable_audit_log",
-    "disable_flight_recording",
-    "disable_tracing",
-    "enable_audit_log",
-    "enable_flight_recording",
-    "enable_tracing",
     "evaluate_tenant",
     "format_metrics_table",
-    "get_accountant",
-    "get_audit_log",
-    "get_emitter",
-    "get_flight_recorder",
-    "get_registry",
-    "get_tracer",
-    "instance_label",
     "load_bundle",
     "metrics_rows",
     "metrics_to_csv",
+    "open_run",
     "profile_cotenancy_scenario",
     "render_openmetrics",
-    "reset_metrics",
     "sample_function",
     "to_chrome_trace",
     "validate_openmetrics",

@@ -59,13 +59,14 @@ from repro.hw.cores import ProgrammableCore
 from repro.hw.dma import DMAController, DMAWindow
 from repro.hw.dram import DRAMChannel
 from repro.hw.memory import HostMemory, PhysicalMemory
-from repro.obs import metrics as metrics_mod
 from repro.obs.interference import (
     RESOURCES,
+    blame_matrix,
     cross_tenant_events,
     cross_tenant_wait_ns,
 )
-from repro.obs.metrics import Histogram, get_registry
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.telemetry import current
 
 SCHEMA_VERSION = 1
 
@@ -106,7 +107,7 @@ def _bus_workload(snic: bool, cotenant: bool, rounds: int) -> float:
         arbiter = FCFSArbiter(bandwidth_bytes_per_ns=12.8)
     period = 8000.0
     total = 0.0
-    latency_hist = get_registry().histogram(
+    latency_hist = current().registry.histogram(
         "audit_victim_latency_ns", resource="bus", tenant=VICTIM)
     for i in range(rounds):
         t = i * period
@@ -165,7 +166,7 @@ def _dram_workload(snic: bool, cotenant: bool, rounds: int) -> float:
         channel.partition([VICTIM, AGGRESSOR])
     period = 16_000.0
     total = 0.0
-    latency_hist = get_registry().histogram(
+    latency_hist = current().registry.histogram(
         "audit_victim_latency_ns", resource="dram", tenant=VICTIM)
     for i in range(rounds):
         t = i * period
@@ -201,7 +202,7 @@ def _dma_workload(snic: bool, cotenant: bool, rounds: int) -> float:
     aggressor_bank = controller.bank_for_core(1)
     period = 12_000.0
     total = 0.0
-    latency_hist = get_registry().histogram(
+    latency_hist = current().registry.histogram(
         "audit_victim_latency_ns", resource="dma", tenant=VICTIM)
     for i in range(rounds):
         t = i * period
@@ -260,11 +261,11 @@ _METRIC_LABEL = {
 def _measure_resource(resource: str, snic: bool, rounds: int) -> Dict[str, object]:
     """One resource under one config: solo run, co-tenant run, blame."""
     workload = _WORKLOADS[resource]
-    solo, cotenant, matrix = run_legs(
-        lambda with_cotenant: workload(snic, with_cotenant, rounds),
-        resource=resource)
+    solo, cotenant, telemetry = run_legs(
+        lambda with_cotenant: workload(snic, with_cotenant, rounds))
+    matrix = blame_matrix(telemetry.registry, resource=resource)
     cells = matrix.get(resource, {})
-    percentiles = _victim_latency_percentiles()
+    percentiles = _victim_latency_percentiles(telemetry.registry)
     # A ratio is meaningless off a zero baseline (e.g. a 0% solo miss
     # rate); report null rather than a JSON-hostile Infinity.
     slowdown = cotenant / solo if solo > 0 else None
@@ -281,10 +282,11 @@ def _measure_resource(resource: str, snic: bool, rounds: int) -> Dict[str, objec
     }
 
 
-def _victim_latency_percentiles() -> Optional[Dict[str, float]]:
+def _victim_latency_percentiles(registry: MetricsRegistry
+                                ) -> Optional[Dict[str, float]]:
     """p50/p95/p99 of the victim's co-tenant latency histogram, when the
     workload recorded one (latency-shaped resources only)."""
-    for instrument in get_registry().instruments():
+    for instrument in registry.instruments():
         if isinstance(instrument, Histogram) \
                 and instrument.name == "audit_victim_latency_ns" \
                 and instrument.count:
@@ -337,7 +339,6 @@ def run_audit(quick: bool = False) -> Dict[str, object]:
     with study_scope():
         commodity = _measure_config(snic=False, rounds=rounds)
         snic = _measure_config(snic=True, rounds=rounds)
-        metrics_mod.reset()  # leave no audit residue in the registry
         channels = _measure_side_channels(_CHANNEL_BITS[scale])
         violations = check_noninterference(
             n_trials=_NONINT_TRIALS[scale],

@@ -23,18 +23,16 @@ as compact sorted-key JSON, and record 0 chains from a fixed
 :data:`GENESIS` anchor.  Hashing reuses :mod:`repro.crypto.sha256` (the
 same primitive the attestation model uses) in its ``fast`` mode.
 
-Emission sites go through the :class:`AuditEmitter` facade so each
-instrumented module pays the usual zero-cost-when-off toll::
+Emission sites route through their run's audit sink
+(:attr:`repro.obs.telemetry.Telemetry.audit`), which is ``None`` while
+no audit log or flight recorder is armed::
 
-    _AUDIT = get_emitter()
-    ...
-    if _AUDIT.active:
-        _AUDIT.emit("tlb.install", tenant=owner, vbase=..., size=...)
+    audit = self._telemetry.audit
+    if audit is not None:
+        audit.emit("tlb.install", tenant=owner, vbase=..., size=...)
 
-``active`` is a plain attribute (no property, no call) refreshed
-whenever the audit log or flight recorder is enabled/disabled, so the
-disabled path is one attribute load and a falsy branch — the same
-discipline the tracer's <5% overhead test pins down.
+so the disabled path is two attribute loads and an identity test — the
+same discipline the tracer's <5% overhead test pins down.
 
 Timestamps come from a bound simulation clock or a deterministic
 internal tick — never the wall clock — so same-seed runs produce
@@ -48,7 +46,6 @@ import json
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.crypto.sha256 import sha256_hex
-from repro.obs import flight as flight_mod
 
 #: Chain anchor for the first record: a fixed, content-free digest so an
 #: empty log still has a well-defined head.
@@ -116,23 +113,17 @@ class AuditLog:
 
     def __init__(self,
                  clock: Optional[Callable[[], float]] = None) -> None:
-        self.enabled = False
         self.records: List[Dict[str, Any]] = []
         self._clock = clock
         self._tick = 0
         self._head = GENESIS
+        #: Optional flight recorder receiving a copy of each emitted
+        #: record (wired by :meth:`repro.obs.telemetry.Telemetry.arm`).
+        self.mirror: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def enable(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.enabled = True
-        if clock is not None:
-            self._clock = clock
-
-    def disable(self) -> None:
-        self.enabled = False
 
     def use_clock(self, clock: Optional[Callable[[], float]]) -> None:
         """(Re)bind the time source; ``None`` reverts to internal ticks."""
@@ -173,6 +164,15 @@ class AuditLog:
         self._head = record["hash"]
         return record
 
+    def emit(self, kind: str, *, tenant: Optional[int] = None,
+             ts_ns: Optional[float] = None, **detail: Any) -> None:
+        """Append one security event and copy it to the mirror, both
+        under the record's timestamp."""
+        record = self.append(kind, tenant=tenant, ts_ns=ts_ns, **detail)
+        if self.mirror is not None:
+            self.mirror.emit(kind, tenant=tenant, ts_ns=record["ts_ns"],
+                             **detail)
+
     def head(self) -> str:
         """The hash of the last record (or :data:`GENESIS` when empty)."""
         return self._head
@@ -200,79 +200,3 @@ class AuditLog:
     def to_dicts(self) -> List[Dict[str, Any]]:
         return self.tail(None)
 
-
-class AuditEmitter:
-    """The shared guard object instrumented modules route through.
-
-    Holds the process-wide audit log and flight recorder; ``active`` is
-    kept in sync by the module-level enable/disable helpers so call
-    sites pay one attribute load when everything is off.
-    """
-
-    __slots__ = ("active", "_log", "_flight")
-
-    def __init__(self, log: AuditLog,
-                 flight: "flight_mod.FlightRecorder") -> None:
-        self._log = log
-        self._flight = flight
-        self.active = False
-
-    def refresh(self) -> None:
-        self.active = self._log.enabled or self._flight.enabled
-
-    def emit(self, kind: str, *, tenant: Optional[int] = None,
-             ts_ns: Optional[float] = None, **detail: Any) -> None:
-        """Route one security event to every armed sink."""
-        log = self._log
-        if log.enabled:
-            record = log.append(kind, tenant=tenant, ts_ns=ts_ns,
-                                **detail)
-            if ts_ns is None:
-                # Reuse the log's timestamp so both sinks agree.
-                ts_ns = record["ts_ns"]
-        flight = self._flight
-        if flight.enabled:
-            flight.record("audit", kind, ts_ns=ts_ns, tenant=tenant,
-                          track="audit", args=detail)
-
-
-#: Process-wide singletons: one log, one emitter facade over it and the
-#: default flight recorder.  The emitter holds object *references*, so
-#: state resets clear these instances in place rather than rebinding.
-_AUDIT_LOG = AuditLog()
-_EMITTER = AuditEmitter(_AUDIT_LOG, flight_mod.get_flight_recorder())
-
-
-def get_audit_log() -> AuditLog:
-    return _AUDIT_LOG
-
-
-def get_emitter() -> AuditEmitter:
-    return _EMITTER
-
-
-def enable_audit_log(
-        clock: Optional[Callable[[], float]] = None) -> AuditLog:
-    _AUDIT_LOG.enable(clock)
-    _EMITTER.refresh()
-    return _AUDIT_LOG
-
-
-def disable_audit_log() -> None:
-    _AUDIT_LOG.disable()
-    _EMITTER.refresh()
-
-
-def refresh_emitter() -> None:
-    """Recompute the emitter's ``active`` flag — call after toggling the
-    flight recorder directly."""
-    _EMITTER.refresh()
-
-
-def reset() -> None:
-    """Return the audit log to its import-time state (bench/matrix
-    ``_isolate`` and the test fixtures call this between cells)."""
-    _AUDIT_LOG.disable()
-    _AUDIT_LOG.use_clock(None)
-    _AUDIT_LOG.clear()
-    _EMITTER.refresh()

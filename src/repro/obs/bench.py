@@ -8,10 +8,10 @@ unit:
 
 * **discovery** — every ``benchmarks/bench_*.py`` that exposes a
   ``run(quick: bool) -> dict`` entry point is a *scenario*;
-* **isolation** — each scenario runs under a freshly reset metrics
-  registry (serial labels restart at ``#1``), a cleared/disabled
-  tracer, and zeroed event-kernel counters, so scenarios can neither
-  alias nor observe each other;
+* **isolation** — each scenario runs in its own telemetry run
+  (:func:`repro.obs.telemetry.open_run`): a fresh metrics registry
+  (serial labels start at ``#1``), no tracer, and zeroed event-kernel
+  counters, so scenarios can neither alias nor observe each other;
 * **telemetry** — per scenario the harness records host wall-time,
   simulated nanoseconds advanced, discrete events executed, trace
   events recorded, registry size, and the scenario's own key model
@@ -37,6 +37,8 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+
+from repro.obs.telemetry import Telemetry, open_run
 
 SCHEMA = "repro.bench"
 SCHEMA_VERSION = 1
@@ -110,6 +112,15 @@ class BenchRecord:
     outputs: Optional[Dict[str, object]] = None
     error: Optional[str] = None
 
+    def take_telemetry(self, telemetry: Telemetry) -> None:
+        """Fill the simulated-work fields from a finished run."""
+        self.sim_time_ns = telemetry.sim_ns_advanced
+        self.events_executed = telemetry.events_executed
+        tracer = telemetry.tracer
+        self.trace_events = len(tracer.events) if tracer is not None else 0
+        self.metrics_instruments = len(telemetry.registry)
+        self.histograms = _histogram_percentiles(telemetry.registry)
+
     def as_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -125,58 +136,33 @@ class BenchRecord:
         }
 
 
-def _isolate() -> None:
-    """Reset every piece of process-global observability state."""
-    from repro.hw import events as hw_events
-    from repro.obs import auditlog, flight, metrics, tracer
-
-    metrics.reset()
-    hw_events.reset_kernel_stats()
-    t = tracer.get_tracer()
-    t.disable()
-    t.use_clock(None)
-    t.clear()
-    t.mirror = None
-    flight.reset()
-    auditlog.reset()
-
-
 def run_scenario(path: Path, quick: bool = False,
                  capture: bool = True) -> BenchRecord:
-    """Run one bench script's ``run(quick)`` under full isolation."""
-    from repro.hw import events as hw_events
-    from repro.obs import metrics, tracer
-
+    """Run one bench script's ``run(quick)`` in its own run."""
     record = BenchRecord(name=scenario_name(path))
-    _isolate()
     buffer = io.StringIO()
     started = time.perf_counter()  # snic: ignore[SNIC007] -- the bench harness *measures* host wall-time; BENCH artifacts are timestamped, not byte-compared
-    try:
-        with contextlib.redirect_stdout(buffer) if capture \
-                else contextlib.nullcontext():
-            module = load_scenario(path)
-            run = getattr(module, "run", None)
-            if run is None:
-                record.status = "skipped"
-                record.error = "no run(quick) entry point"
-                return record
-            outputs = run(quick=quick)
-        record.outputs = jsonable(outputs if isinstance(outputs, dict)
-                                  else {"result": outputs})
-    except Exception:
-        record.status = "error"
-        tail = buffer.getvalue().splitlines()[-5:]
-        record.error = traceback.format_exc(limit=8) + (
-            "\n[stdout tail]\n" + "\n".join(tail) if tail else "")
-    finally:
-        record.wall_s = time.perf_counter() - started  # snic: ignore[SNIC007] -- wall_s is the bench regression signal; matrix cells leave it 0.0 instead
-        stats = hw_events.kernel_stats()
-        record.sim_time_ns = stats["sim_ns_advanced"]
-        record.events_executed = stats["events_executed"]
-        record.trace_events = len(tracer.get_tracer().events)
-        record.metrics_instruments = len(metrics.get_registry())
-        record.histograms = _histogram_percentiles(metrics.get_registry())
-        _isolate()
+    with open_run() as telemetry:
+        try:
+            with contextlib.redirect_stdout(buffer) if capture \
+                    else contextlib.nullcontext():
+                module = load_scenario(path)
+                run = getattr(module, "run", None)
+                if run is None:
+                    record.status = "skipped"
+                    record.error = "no run(quick) entry point"
+                    return record
+                outputs = run(quick=quick)
+            record.outputs = jsonable(outputs if isinstance(outputs, dict)
+                                      else {"result": outputs})
+        except Exception:
+            record.status = "error"
+            tail = buffer.getvalue().splitlines()[-5:]
+            record.error = traceback.format_exc(limit=8) + (
+                "\n[stdout tail]\n" + "\n".join(tail) if tail else "")
+        finally:
+            record.wall_s = time.perf_counter() - started  # snic: ignore[SNIC007] -- wall_s is the bench regression signal; matrix cells leave it 0.0 instead
+            record.take_telemetry(telemetry)
     return record
 
 

@@ -9,29 +9,29 @@ across thousands of cells.  The flight recorder is the bounded
 alternative: a ring of at most ``capacity`` entries, additionally
 evicted by simulated age (``window_ns``), fed from three sources:
 
-* **audit events** — every security-relevant record the
-  :mod:`repro.obs.auditlog` emitter routes (attestation verdicts,
-  scrubs, TLB installs, denials, faults, recovery actions);
-* **trace events** — when the tracer is *also* enabled, each recorded
+* **audit events** — every security-relevant record the run's audit
+  sink routes (attestation verdicts, scrubs, TLB installs, denials,
+  faults, recovery actions);
+* **trace events** — when the tracer is *also* armed, each recorded
   span/instant/counter is mirrored into the ring (the tracer keeps its
   full list; the ring keeps the tail);
-* **metric deltas** — :meth:`FlightRecorder.note_metrics` diffs the
+* **metric deltas** — :meth:`FlightRecorder.note_metrics` diffs a
   registry against the previous call and records one entry per changed
   value.
 
 Overhead discipline
 -------------------
 
-Same contract as the tracer (DESIGN.md §1.4): recording defaults to
-**off** and every hook is written as::
+Same contract as the tracer (DESIGN.md §1.4): a run's recorder is
+``None`` until a harness arms one, and every hook is written as::
 
-    flight = _FLIGHT
-    if flight.enabled:
+    flight = self._telemetry.flight
+    if flight is not None:
         flight.record(...)
 
-one attribute load and a falsy branch — no allocation, no clock read.
-``tests/test_tracer_overhead.py`` pins the disabled path within 5% of a
-recorder-free stub.
+two attribute loads and an identity test — no allocation, no clock
+read.  ``tests/test_tracer_overhead.py`` pins the disabled path within
+5% of a recorder-free stub.
 
 Determinism
 -----------
@@ -90,7 +90,6 @@ class FlightRecorder:
                  clock: Optional[Callable[[], float]] = None) -> None:
         if capacity <= 0:
             raise ValueError("flight recorder capacity must be positive")
-        self.enabled = False
         self.capacity = capacity
         self.window_ns = window_ns
         self._entries: Deque[FlightEntry] = deque(maxlen=capacity)
@@ -102,15 +101,6 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def enable(self, clock: Optional[Callable[[], float]] = None) -> None:
-        """Turn recording on, optionally binding a time source."""
-        self.enabled = True
-        if clock is not None:
-            self._clock = clock
-
-    def disable(self) -> None:
-        self.enabled = False
 
     def use_clock(self, clock: Optional[Callable[[], float]]) -> None:
         """(Re)bind the time source; ``None`` reverts to internal ticks."""
@@ -141,40 +131,37 @@ class FlightRecorder:
         ``args`` is an explicit dict (not ``**kwargs``) so payload keys
         can never collide with the entry's own fields.
         """
-        if not self.enabled:
-            return
         ts = self.now() if ts_ns is None else float(ts_ns)
         self._entries.append(
             FlightEntry(kind, name, ts, tenant, track,
                         dict(args) if args else {}))
         self._evict(ts)
 
-    def record_trace(self, event: Any) -> None:
-        """Mirror one tracer :class:`TraceEvent` into the ring.
+    def emit(self, kind: str, *, tenant: Optional[int] = None,
+             ts_ns: Optional[float] = None, **detail: Any) -> None:
+        """Record one security event (the audit sink interface; see
+        :meth:`repro.obs.auditlog.AuditLog.emit`)."""
+        self.record("audit", kind, ts_ns=ts_ns, tenant=tenant,
+                    track="audit", args=detail)
 
-        Installed as the tracer's ``mirror`` while the recorder is
-        armed; only ever called from the tracer's *enabled* path, so it
-        adds nothing to the zero-cost disabled contract.
-        """
-        if not self.enabled:
-            return
+    def record_trace(self, event: Any) -> None:
+        """Mirror one tracer :class:`TraceEvent` into the ring (the
+        tracer's ``mirror`` interface)."""
         self._entries.append(FlightEntry(
             _PH_KINDS.get(event.ph, "event"), event.name,
             float(event.ts_ns), event.tenant, event.track,
             dict(event.args)))
         self._evict(float(event.ts_ns))
 
-    def note_metrics(self, ts_ns: Optional[float] = None) -> int:
-        """Record one ``metric`` entry per value changed since the last
-        call (or since :meth:`clear`); returns how many were recorded."""
-        if not self.enabled:
-            return 0
-        from repro.obs.metrics import get_registry
-
+    def note_metrics(self, registry: Any,
+                     ts_ns: Optional[float] = None) -> int:
+        """Record one ``metric`` entry per value of ``registry`` changed
+        since the last call (or since :meth:`clear`); returns how many
+        were recorded."""
         ts = self.now() if ts_ns is None else float(ts_ns)
         recorded = 0
         baseline = self._metric_baseline
-        for sample in get_registry().snapshot():
+        for sample in registry.snapshot():
             labels = sample["labels"]
             key = str(sample["name"]) + "{" + ",".join(
                 f"{k}={labels[k]}" for k in sorted(labels)) + "}"
@@ -222,58 +209,3 @@ class FlightRecorder:
             entries = entries[-n:]
         return [entry.as_dict() for entry in entries]
 
-
-#: The default process-wide recorder every instrumentation hook targets.
-_FLIGHT = FlightRecorder()
-
-
-def get_flight_recorder() -> FlightRecorder:
-    return _FLIGHT
-
-
-def enable_flight_recording(
-        clock: Optional[Callable[[], float]] = None,
-        capacity: Optional[int] = None,
-        window_ns: Optional[float] = None) -> FlightRecorder:
-    """Arm the default recorder and mirror tracer events into it."""
-    from repro.obs.tracer import get_tracer
-
-    if capacity is not None and capacity != _FLIGHT.capacity:
-        _FLIGHT.capacity = capacity
-        _FLIGHT._entries = deque(_FLIGHT._entries, maxlen=capacity)
-    if window_ns is not None:
-        _FLIGHT.window_ns = window_ns
-    _FLIGHT.enable(clock)
-    get_tracer().mirror = _FLIGHT
-    _refresh_emitter()
-    return _FLIGHT
-
-
-def disable_flight_recording() -> None:
-    """Disarm the default recorder and detach the tracer mirror."""
-    from repro.obs.tracer import get_tracer
-
-    _FLIGHT.disable()
-    if get_tracer().mirror is _FLIGHT:
-        get_tracer().mirror = None
-    _refresh_emitter()
-
-
-def _refresh_emitter() -> None:
-    """Keep the audit emitter's ``active`` flag in sync (lazy import —
-    auditlog imports this module at load time)."""
-    from repro.obs import auditlog
-
-    auditlog.refresh_emitter()
-
-
-def reset() -> None:
-    """Return the default recorder to its import-time state (used by
-    the bench/matrix ``_isolate`` discipline and the test fixtures)."""
-    disable_flight_recording()
-    _FLIGHT.use_clock(None)
-    _FLIGHT.clear()
-    _FLIGHT.window_ns = None
-    if _FLIGHT.capacity != DEFAULT_CAPACITY:
-        _FLIGHT.capacity = DEFAULT_CAPACITY
-        _FLIGHT._entries = deque(maxlen=DEFAULT_CAPACITY)

@@ -11,10 +11,11 @@ This module is the accounting layer every shared hardware resource
 blames into.  Each time a request from ``victim`` is delayed because of
 work attributable to ``culprit`` on ``resource``, the resource calls::
 
-    get_accountant().blame(resource, victim=v, culprit=c, wait_ns=w)
+    accountant.blame(resource, victim=v, culprit=c, wait_ns=w)
 
-which lands in two tenant-tagged counter families in the metrics
-registry:
+on the accountant of the run it was built in
+(:attr:`repro.obs.telemetry.Telemetry.accountant`), which lands in two
+tenant-tagged counter families in that run's metrics registry:
 
 * ``interference_wait_ns_total{resource, tenant, culprit}`` —
   nanoseconds the victim (``tenant``) spent waiting behind the
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry
 
 #: Canonical resource names, in scorecard display order.
 RESOURCE_BUS = "bus"
@@ -67,21 +68,17 @@ EVENTS_METRIC = "interference_events_total"
 
 
 class InterferenceAccountant:
-    """The blame sink: resolves ``(resource, victim, culprit)`` to the
+    """The blame sink: resolves ``(resource, victim, culprit)`` to its
     registry's counter pair and adds to it.
 
     Instruments are resolved through the registry's get-or-create on
-    every call (no caching), so the accountant stays correct across
-    :func:`repro.obs.metrics.reset` — components hold the accountant,
-    never the counters.  Blame events are orders of magnitude rarer
-    than cache accesses, so two dict lookups per call is cheap enough.
+    every call (no caching).  Blame events are orders of magnitude
+    rarer than cache accesses, so two dict lookups per call is cheap
+    enough.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self._registry = registry
-
-    def _resolve(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
 
     def blame(
         self,
@@ -94,7 +91,7 @@ class InterferenceAccountant:
         """Attribute ``wait_ns`` of the victim's delay to ``culprit``."""
         if wait_ns <= 0.0 and events <= 0:
             return
-        registry = self._resolve()
+        registry = self._registry
         registry.counter(WAIT_METRIC, resource=resource,
                          tenant=victim, culprit=culprit).value += wait_ns
         registry.counter(EVENTS_METRIC, resource=resource,
@@ -105,7 +102,7 @@ class InterferenceAccountant:
     # ------------------------------------------------------------------
 
     def matrix(self, resource: Optional[str] = None) -> "BlameMatrix":
-        return blame_matrix(self._resolve(), resource=resource)
+        return blame_matrix(self._registry, resource=resource)
 
 
 #: One (victim, culprit) cell: attributed wait and blamed-event count.
@@ -121,13 +118,17 @@ def _tenant_key(value: object) -> str:
 
 def blame_matrix(registry: Optional[MetricsRegistry] = None,
                  resource: Optional[str] = None) -> BlameMatrix:
-    """The interference matrices currently in the registry.
+    """The interference matrices currently in ``registry`` (default:
+    the current run's).
 
     Returns ``{resource: {(victim, culprit): {"wait_ns": w, "events": n}}}``
     with tenant ids as the registry's string labels.  Deterministically
     ordered (resources and cells sorted).
     """
-    registry = registry if registry is not None else get_registry()
+    if registry is None:
+        from repro.obs.telemetry import current
+
+        registry = current().registry
     matrix: BlameMatrix = {}
     for sample in registry.snapshot():
         name = sample["name"]
@@ -193,9 +194,9 @@ class FCFSWaitAttributor:
     __slots__ = ("resource", "_accountant", "_segments", "_totals")
 
     def __init__(self, resource: str,
-                 accountant: Optional[InterferenceAccountant] = None) -> None:
+                 accountant: InterferenceAccountant) -> None:
         self.resource = resource
-        self._accountant = accountant or get_accountant()
+        self._accountant = accountant
         #: Sequential (start, end, client) busy segments not yet consumed.
         self._segments: List[Tuple[float, float, int]] = []
         #: client -> total live-segment duration (the O(1) running sum).
@@ -247,10 +248,3 @@ class FCFSWaitAttributor:
         self._segments.clear()
         self._totals.clear()
 
-
-#: The process-wide accountant every hardware model blames into.
-_ACCOUNTANT = InterferenceAccountant()
-
-
-def get_accountant() -> InterferenceAccountant:
-    return _ACCOUNTANT

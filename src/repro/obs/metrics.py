@@ -16,8 +16,9 @@ Design notes
   instances stay separate.
 * Component *instances* must not collide: two :class:`~repro.hw.cache.Cache`
   objects both named ``l2`` are different caches with different
-  statistics.  :func:`instance_label` mints a unique per-instance label
-  (``l2#7``) that components fold into their label sets.
+  statistics.  :meth:`MetricsRegistry.instance_label` mints a unique
+  per-instance label (``l2#7``) that components fold into their label
+  sets.
 * The hot-path cost of a counter increment is one bound-method call and
   one float add — deliberately no locks, no timestamps, no allocation.
 * Histograms use fixed bucket upper bounds with linear interpolation
@@ -33,18 +34,6 @@ from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
-
-
-def instance_label(prefix: str) -> str:
-    """A unique label for one component instance, e.g. ``l2#7``.
-
-    Serial numbers are shared across prefixes within the default
-    registry so two caches created by two different NICs can never
-    alias each other's counters.  The counter lives on the registry
-    (not in a module global) so each shard worker's registry numbers
-    its own instances independently — a shard-safety requirement.
-    """
-    return _REGISTRY.instance_label(prefix)
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
@@ -246,7 +235,8 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Process-wide store of labelled instruments.
+    """A run's store of labelled instruments (see
+    :mod:`repro.obs.telemetry`).
 
     ``counter``/``gauge``/``histogram`` are get-or-create: the same
     ``(name, labels)`` pair always maps to the same instrument object.
@@ -360,42 +350,3 @@ class MetricsRegistry:
         components holding references keep counting from zero)."""
         for instrument in self._instruments.values():
             instrument.reset()
-
-    def clear(self) -> None:
-        """Drop every instrument and collector entirely and restart the
-        per-instance serial stream."""
-        self._instruments.clear()
-        self._collectors.clear()
-        self._serial = itertools.count(1)
-
-
-#: The default process-wide registry every component instruments into.
-_REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return _REGISTRY
-
-
-def snapshot() -> List[Dict[str, object]]:
-    """Convenience: :meth:`MetricsRegistry.snapshot` of the default
-    registry."""
-    return _REGISTRY.snapshot()
-
-
-def reset() -> None:
-    """Return the default registry to its import-time state.
-
-    Drops every instrument and collector *and* restarts the per-instance
-    serial counter, so two scenarios run back to back mint identical
-    labels (``l2#1``, ``bus#2`` …) instead of the second run's instances
-    continuing the first run's numbering.  This is what keeps
-    consecutive benchmarks — and consecutive tests — from aliasing each
-    other's per-instance metric families.
-
-    Components constructed *before* a reset keep counting into their
-    (now unregistered) instrument objects; construct fresh components
-    after resetting, which is what the benchmark harness and the test
-    fixture both do.
-    """
-    _REGISTRY.clear()

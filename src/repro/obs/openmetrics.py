@@ -44,8 +44,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
 )
+from repro.obs.telemetry import current
 from repro.obs.windows import WindowSnapshot
 
 #: ``(sample_name, labels, value)`` — one exposition line.
@@ -92,8 +92,9 @@ def registry_families(registry: Optional[MetricsRegistry] = None,
 
     ``extra_labels`` (e.g. ``{"arbiter": "temporal"}``) are folded into
     every sample — how the scorecard stamps each arbiter's sweep.
+    ``registry`` defaults to the current run's.
     """
-    registry = registry if registry is not None else get_registry()
+    registry = registry if registry is not None else current().registry
     extra = dict(extra_labels or {})
     families: Dict[Tuple[str, str], List[Sample]] = {}
     for instrument in registry.instruments():

@@ -40,8 +40,8 @@ from typing import Any, Dict, List, Optional, TextIO
 
 from repro.obs import auditlog as auditlog_mod
 from repro.obs import flight as flight_mod
-from repro.obs import metrics as metrics_mod
 from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
+from repro.obs.telemetry import current
 
 SCHEMA = "repro.postmortem"
 SCHEMA_VERSION = 1
@@ -85,10 +85,22 @@ def build_bundle(*, reason: Any,
                  audit: Optional["auditlog_mod.AuditLog"] = None,
                  registry: Optional[Any] = None,
                  tail: int = DEFAULT_TAIL) -> Dict[str, Any]:
-    """Assemble a deterministic forensics bundle from live state."""
-    flight = flight or flight_mod.get_flight_recorder()
-    audit = audit or auditlog_mod.get_audit_log()
-    registry = registry or metrics_mod.get_registry()
+    """Assemble a deterministic forensics bundle from live state.
+
+    A sink not given is the current run's; a disarmed one contributes
+    an empty section.
+    """
+    telemetry = current()
+    if flight is None:
+        flight = telemetry.flight
+        if flight is None:
+            flight = flight_mod.FlightRecorder()
+    if audit is None:
+        audit = telemetry.audit_log
+        if audit is None:
+            audit = auditlog_mod.AuditLog()
+    if registry is None:
+        registry = telemetry.registry
     matrix = blame_matrix(registry)
     audit_tail = audit.tail(tail)
     return {

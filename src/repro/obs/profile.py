@@ -31,8 +31,8 @@ Typical use::
 
     prof = profile.Profiler()
     with prof.measure():            # wall-clock bracketing
-        ...  # run a scenario with tracing enabled
-    prof.ingest(obs.get_tracer())   # sim-time attribution
+        ...  # run a scenario with a tracer armed
+    prof.ingest(tracer)             # sim-time attribution
     prof.write_collapsed("run.collapsed")
     print(prof.format_report(top=15))
 
@@ -376,18 +376,18 @@ def profile_cotenancy_scenario(
     import os
     import tempfile
 
-    from repro.obs import tracer as tracer_mod
     from repro.obs.scenario import run_cotenancy_scenario
+    from repro.obs.telemetry import open_run
 
     profiler = Profiler()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, open_run():
         with profiler.measure():
             scenario = run_cotenancy_scenario(
                 out_path=os.path.join(tmp, "profile_trace.json"),
                 n_packets=n_packets,
                 profiler=profiler,
             )
-    profiler.ingest(tracer_mod.get_tracer())
+    profiler.ingest(scenario["tracer"])
     if collapsed_path:
         profiler.write_collapsed(collapsed_path)
     return {

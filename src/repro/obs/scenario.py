@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.obs import chrome_trace, export, metrics, tracer as tracer_mod
+from repro.obs import chrome_trace, export, metrics
+from repro.obs.telemetry import current
 from repro.obs.timeseries import TimeSeriesSampler
+from repro.obs.tracer import Tracer
 
 MB = 1024 * 1024
 
@@ -48,10 +50,8 @@ def sample_snic_gauges(snic, registry: Optional[metrics.MetricsRegistry] = None)
     registry on demand, which is the zero-overhead half of the §4.2/§4.3
     "per-bank TLB hit rate" telemetry.
     """
-    # NB: an empty MetricsRegistry is falsy (it defines __len__), so an
-    # ``or`` default would silently discard a freshly created registry.
     if registry is None:
-        registry = metrics.get_registry()
+        registry = current().registry
     for record in (snic.record(nf_id) for nf_id in snic.live_functions):
         for cluster in record.clusters:
             if cluster.tlb.lookups:
@@ -86,7 +86,9 @@ def run_cotenancy_scenario(
     scenario registry's ``cotenancy-demo`` spec (or any
     :class:`~repro.scenario.spec.ScenarioSpec` passed as ``spec``),
     materialized through :func:`repro.scenario.build.build_scenario` —
-    this harness only owns the observability choreography on top.
+    this harness only owns the observability choreography on top.  It
+    arms a fresh :class:`~repro.obs.tracer.Tracer` on the current run
+    (returned under ``"tracer"``); the caller owns the run.
 
     Returns a summary dict (paths, counts, layers covered, tenants
     observed) used by the CLI and asserted by the test suite.  Passing a
@@ -109,10 +111,10 @@ def run_cotenancy_scenario(
         spec = cotenancy_spec(n_packets=n_packets)
     n_packets = spec.traffic.n_packets
 
-    tracer = tracer_mod.get_tracer()
-    registry = metrics.get_registry()
-    tracer.enable()
-    tracer.clear()
+    telemetry = current()
+    tracer = Tracer()
+    telemetry.arm(tracer=tracer)
+    registry = telemetry.registry
 
     with build_scenario(spec) as built:
         snic, nic_os = built.snic, built.nic_os
@@ -227,7 +229,7 @@ def run_cotenancy_scenario(
             "timeseries": sampler,
             "timeseries_path": timeseries_path,
             "timeseries_samples": sampler.samples_taken,
+            "tracer": tracer,
         }
     tracer.use_clock(None)
-    tracer.disable()
     return summary

@@ -218,30 +218,28 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
              window_ns: int = DEFAULT_WINDOW_NS,
              families_sink: Optional[List[object]] = None,
              ) -> Dict[str, object]:
-    """Run one scorecard cell under full state isolation.
+    """Run one scorecard cell in its own telemetry run.
 
     Returns the per-arbiter result block: tenant rows in spec order,
     the fired alerts, window/audit bookkeeping.  With ``families_sink``
     given, the cell's OpenMetrics families (registry + windows, tagged
-    with an ``arbiter`` label) are appended to it before the trailing
-    isolation reset wipes the registry.
+    with an ``arbiter`` label) are appended to it.
     """
     from repro.analysis.isosan import sanitized
-    from repro.obs import auditlog as auditlog_mod
     from repro.obs import openmetrics
-    from repro.obs.bench import _isolate
+    from repro.obs.auditlog import AuditLog
     from repro.obs.interference import blame_matrix
-    from repro.obs.metrics import get_registry
+    from repro.obs.telemetry import open_run
     from repro.scenario.build import build_scenario
 
-    _isolate()
-    auditlog_mod.enable_audit_log()
     rounds = 8 if quick else 16
-    try:
+    with open_run() as telemetry:
+        log = AuditLog()
+        telemetry.arm(audit_log=log)
+        registry = telemetry.registry
         scope = sanitized() if sanitize else contextlib.nullcontext()
         with scope:
             with build_scenario(spec) as built:
-                registry = get_registry()
                 by_id: Dict[int, str] = {}
                 slos: Dict[int, TenantSLO] = {}
                 for tenant in spec.tenants:
@@ -291,7 +289,6 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
                         registry, extra_labels=extra))
                     families_sink.extend(openmetrics.window_families(
                         aggregator.snapshots, extra_labels=extra))
-        log = auditlog_mod.get_audit_log()
         alerts = []
         for alert in alerter.alert_dicts():
             alert = dict(alert)
@@ -314,9 +311,6 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
                 "chain_ok": log.verify_chain() is None,
             },
         }
-    finally:
-        auditlog_mod.reset()
-        _isolate()
 
 
 def _offered_by_tenant(spec: ScenarioSpec, built) -> Dict[str, int]:

@@ -33,9 +33,9 @@ but nothing says **pass or fail**.  This module supplies that:
   a longer pair burning ≥ 2×.  Alerts are edge-triggered (one alert
   per excursion, re-armed when the burn subsides), land as
   tenant-tagged tracer instants, and are witnessed as hash-chained
-  audit records through the PR 7 :class:`~repro.obs.auditlog
-  .AuditEmitter` facade — an SLO page is a security-relevant event in
-  a paper whose §4.5 claim *is* an interference budget of zero.
+  audit records through the run's audit sink — an SLO page is a
+  security-relevant event in a paper whose §4.5 claim *is* an
+  interference budget of zero.
 
 Burn rates are dimensionless budget-consumption speeds: 1.0 means
 "spending exactly the error budget", sustained.  For latency,
@@ -53,9 +53,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.auditlog import get_emitter
 from repro.obs.metrics import Histogram
-from repro.obs.tracer import get_tracer
+from repro.obs.telemetry import current
 from repro.obs.windows import WindowSnapshot
 
 #: Objective kinds :class:`SLOSpec` validates against.
@@ -339,6 +338,7 @@ class BurnRateAlerter:
         #: ``(tenant, kind, tier) -> currently firing`` for edge
         #: triggering: one alert per excursion, re-armed on recovery.
         self._firing: Dict[Tuple[int, str, str], bool] = {}
+        self._telemetry = current()
 
     def _burn_for(self, tenant: int, obj: SLOSpec,
                   snapshot: WindowSnapshot,
@@ -394,15 +394,16 @@ class BurnRateAlerter:
         return [alert]
 
     def _emit(self, alert: BurnRateAlert) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
+        telemetry = self._telemetry
+        tracer = telemetry.tracer
+        if tracer is not None:
             tracer.instant(
                 "slo.burn_alert", ts_ns=alert.ts_ns, tenant=alert.tenant,
                 track="slo", cat="slo", kind=alert.kind, tier=alert.tier,
                 fast_burn=alert.fast_burn, slow_burn=alert.slow_burn)
-        emitter = get_emitter()
-        if emitter.active:
-            emitter.emit(
+        audit = telemetry.audit
+        if audit is not None:
+            audit.emit(
                 "slo.alert", tenant=alert.tenant, ts_ns=alert.ts_ns,
                 objective=alert.kind, tier=alert.tier,
                 fast_burn=alert.fast_burn, slow_burn=alert.slow_burn,

@@ -20,17 +20,16 @@ on the same shared-resource track.
 Overhead discipline
 -------------------
 
-Tracing defaults to **off**, and every hook in the hot layers is
-written as::
+Tracing defaults to **off**: a run's tracer is ``None`` until a harness
+arms one (:meth:`repro.obs.telemetry.Telemetry.arm`), and every hook in
+the hot layers is written as::
 
-    tracer = _TRACER
-    if tracer.enabled:
+    tracer = self._telemetry.tracer
+    if tracer is not None:
         tracer.complete(...)
 
-so the disabled cost is one attribute load and a falsy branch — no
-allocation, no clock read, no string formatting.  :meth:`Tracer.span`
-returns a shared no-op context-manager singleton when disabled for the
-same reason.
+so the disabled cost is two attribute loads and an identity test — no
+allocation, no clock read, no string formatting.
 
 Clocks
 ------
@@ -60,24 +59,6 @@ class TraceEvent:
     track: str = "main"
     cat: str = "sim"
     args: Dict[str, Any] = field(default_factory=dict)
-
-
-class _NoopSpan:
-    """Shared do-nothing context manager for the disabled fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-    def annotate(self, **args: Any) -> None:
-        """Accept (and drop) annotations so call sites stay branch-free."""
-
-
-NOOP_SPAN = _NoopSpan()
 
 
 class _Span:
@@ -123,32 +104,19 @@ class _Span:
 
 
 class Tracer:
-    """Records :class:`TraceEvent` streams with a no-op disabled mode."""
+    """Records :class:`TraceEvent` streams."""
 
-    def __init__(self, enabled: bool = False,
-                 clock: Optional[Callable[[], float]] = None) -> None:
-        self.enabled = enabled
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.events: List[TraceEvent] = []
         self._clock = clock
         self._tick = 0
         #: Optional flight recorder receiving a copy of each recorded
-        #: event (set by ``repro.obs.flight.enable_flight_recording``).
-        #: Consulted only on the *enabled* path, so the zero-cost
-        #: disabled contract is untouched.
+        #: event (wired by :meth:`repro.obs.telemetry.Telemetry.arm`).
         self.mirror: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def enable(self, clock: Optional[Callable[[], float]] = None) -> None:
-        """Turn recording on, optionally binding a time source."""
-        self.enabled = True
-        if clock is not None:
-            self._clock = clock
-
-    def disable(self) -> None:
-        self.enabled = False
 
     def use_clock(self, clock: Optional[Callable[[], float]]) -> None:
         """(Re)bind the time source; ``None`` reverts to internal ticks."""
@@ -176,13 +144,7 @@ class Tracer:
     def span(self, name: str, *, tenant: Optional[int] = None,
              track: str = "main", cat: str = "sim",
              **args: Any):
-        """Context manager measuring ``now()`` across the ``with`` body.
-
-        Returns the shared no-op singleton when disabled — zero
-        allocation on the fast path.
-        """
-        if not self.enabled:
-            return NOOP_SPAN
+        """Context manager measuring ``now()`` across the ``with`` body."""
         return _Span(self, name, tenant, track, cat, args or None)
 
     def complete(self, name: str, ts_ns: float, dur_ns: float, *,
@@ -190,8 +152,6 @@ class Tracer:
                  cat: str = "sim", **args: Any) -> None:
         """Record a finished interval with explicit timestamps (the form
         the simulators use: they already know start and completion)."""
-        if not self.enabled:
-            return
         event = TraceEvent(ph="X", name=name, ts_ns=ts_ns,
                            dur_ns=max(0.0, dur_ns), tenant=tenant,
                            track=track, cat=cat, args=args)
@@ -202,8 +162,6 @@ class Tracer:
     def instant(self, name: str, *, ts_ns: Optional[float] = None,
                 tenant: Optional[int] = None, track: str = "main",
                 cat: str = "sim", **args: Any) -> None:
-        if not self.enabled:
-            return
         event = TraceEvent(ph="i", name=name,
                            ts_ns=self.now() if ts_ns is None else ts_ns,
                            tenant=tenant, track=track, cat=cat, args=args)
@@ -215,8 +173,6 @@ class Tracer:
                        ts_ns: Optional[float] = None,
                        tenant: Optional[int] = None, track: str = "main",
                        cat: str = "sim") -> None:
-        if not self.enabled:
-            return
         event = TraceEvent(ph="C", name=name,
                            ts_ns=self.now() if ts_ns is None else ts_ns,
                            tenant=tenant, track=track, cat=cat,
@@ -243,19 +199,3 @@ class Tracer:
         return sorted({e.tenant for e in self.events},
                       key=lambda t: (t is None, t))
 
-
-#: The default process-wide tracer every instrumentation hook targets.
-_TRACER = Tracer(enabled=False)
-
-
-def get_tracer() -> Tracer:
-    return _TRACER
-
-
-def enable_tracing(clock: Optional[Callable[[], float]] = None) -> Tracer:
-    _TRACER.enable(clock)
-    return _TRACER
-
-
-def disable_tracing() -> None:
-    _TRACER.disable()

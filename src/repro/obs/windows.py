@@ -41,17 +41,19 @@ layer actually judges, not the whole hw-layer registry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.hw.events import Simulator
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     LabelKey,
     MetricsRegistry,
-    get_registry,
 )
+from repro.obs.telemetry import current
+
+if TYPE_CHECKING:
+    from repro.hw.events import Simulator
 
 #: Default tracked-name prefixes: the SLO layer's own instruments and
 #: the interference attribution families it reads through.
@@ -167,6 +169,8 @@ class WindowedAggregator:
         ... run the kernel-driven workload ...
         agg.close()                # capture the final partial window
         for snap in agg.snapshots: ...
+
+    ``registry`` defaults to the current run's.
     """
 
     def __init__(self, sim: Simulator, window_ns: int,
@@ -186,7 +190,8 @@ class WindowedAggregator:
         #: Invoked with each finished :class:`WindowSnapshot` — the
         #: burn-rate alerter's attachment point.
         self.on_rotate = on_rotate
-        self._registry = registry
+        self._registry = registry if registry is not None \
+            else current().registry
         self.snapshots: List[WindowSnapshot] = []
         self.windows_dropped = 0
         self._window_start_ns = 0.0
@@ -196,14 +201,10 @@ class WindowedAggregator:
         self._handle = None
         self._closed = False
 
-    def _resolve(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None \
-            else get_registry()
-
     def _tracked(self) -> List[Tuple[InstrumentKey, object]]:
         """Tracked instruments in deterministic (name, labels) order."""
         out: List[Tuple[InstrumentKey, object]] = []
-        for instrument in self._resolve().instruments():
+        for instrument in self._registry.instruments():
             name = getattr(instrument, "name", "")
             if not name.startswith(self.prefixes):
                 continue

@@ -19,7 +19,7 @@ from repro.cost.mcpat import snic_headline_overheads
 from repro.cost.pages import EQUAL_MENU, FLEX_HIGH_MENU, FLEX_LOW_MENU
 from repro.cost.profiles import MonitorMemoryModel, NF_PROFILES
 from repro.cost.tco import paper_tco_analysis
-from repro.obs import format_metrics_table, get_registry
+from repro.obs import current, format_metrics_table
 from repro.perf.colocation import cotenancy_sweep, summary_across_nfs
 
 
@@ -94,7 +94,7 @@ def main() -> None:
     # bus and cache models, so the observability registry now holds real
     # telemetry from this very report run — print the bus view.
     print()
-    print(format_metrics_table(get_registry(),
+    print(format_metrics_table(current().registry,
                                title="observability — bus telemetry from "
                                      "the runs above",
                                name_filter="bus_"))

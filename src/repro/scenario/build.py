@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.obs.telemetry import current
 from repro.scenario.spec import (
     ArbiterSpec,
     NFSpec,
@@ -227,6 +228,7 @@ class BuiltScenario:
         self.injector = None
         self._rig: Optional[ContentionRig] = None
         self._deployed = False
+        self._telemetry = current()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -269,7 +271,8 @@ class BuiltScenario:
             self.snic,
             poll_interval_ns=topo.poll_interval_ns,
             service_ns_per_packet=topo.service_ns_per_packet)
-        self._arm_observers()
+        sim = self.runtime.sim
+        self._telemetry.use_clock(lambda: sim.now_ns)
         next_core = 0
         for tenant in self.spec.tenants:
             core_ids = tuple(range(next_core, next_core + tenant.cores))
@@ -308,38 +311,9 @@ class BuiltScenario:
             for nf_id in list(self.tenants.values()):
                 if nf_id in self.snic.live_functions:
                     self.nic_os.NF_destroy(nf_id)
-        from repro.obs import tracer as tracer_mod
-
-        tracer_mod.get_tracer().use_clock(None)
-        self._release_observers()
+        # Drop clock bindings into this (now dead) cell's simulator.
+        self._telemetry.use_clock(None)
         self._deployed = False
-
-    def _arm_observers(self) -> None:
-        """Bind any armed flight recorder / audit log to this cell's
-        simulated clock (no-op when neither is enabled — the forensic
-        layer stays zero-cost unless a harness turned it on)."""
-        from repro.obs.auditlog import get_audit_log
-        from repro.obs.flight import get_flight_recorder
-
-        sim = self.runtime.sim
-        flight = get_flight_recorder()
-        if flight.enabled:
-            flight.use_clock(lambda: sim.now_ns)
-        audit = get_audit_log()
-        if audit.enabled:
-            audit.use_clock(lambda: sim.now_ns)
-
-    def _release_observers(self) -> None:
-        """Drop clock bindings into this (now dead) cell's simulator."""
-        from repro.obs.auditlog import get_audit_log
-        from repro.obs.flight import get_flight_recorder
-
-        flight = get_flight_recorder()
-        if flight.enabled:
-            flight.use_clock(None)
-        audit = get_audit_log()
-        if audit.enabled:
-            audit.use_clock(None)
 
     # -- derived pieces ------------------------------------------------
 
@@ -403,7 +377,6 @@ class BuiltScenario:
         if not self._deployed:
             raise ScenarioBuildError("deploy() the scenario before driving it")
         from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
-        from repro.obs.metrics import get_registry
 
         rounds = rounds if rounds is not None else (8 if quick else 16)
         victim_id = self.nf_ids[0] if self.nf_ids else None
@@ -446,7 +419,7 @@ class BuiltScenario:
         })
         outputs.update(contention)
         outputs["cross_tenant_wait_ns"] = float(
-            cross_tenant_wait_ns(blame_matrix(get_registry())))
+            cross_tenant_wait_ns(blame_matrix(self._telemetry.registry)))
         outputs["faults_injected"] = (
             len(self.injector.records) if self.injector is not None else 0)
         return outputs

@@ -5,11 +5,11 @@ The matrix is the axis product
     {nic_model} x {tenant_count} x {fault_class} x {arbiter} x {seed}
 
 expanded into :class:`MatrixCell`\\ s, each materialized through the
-scenario builder (:mod:`repro.scenario.build`) under full state
-isolation — the same reset discipline as :mod:`repro.obs.bench`: fresh
-metrics registry, zeroed event-kernel counters, disabled tracer before
-*and* after every cell.  One cell produces one ``repro.bench``-shaped
-record (schema v1), so bench tooling can read matrix artifacts.
+scenario builder (:mod:`repro.scenario.build`) in its own telemetry run,
+as :mod:`repro.obs.bench` runs each benchmark: a fresh metrics
+registry, zeroed event-kernel counters and no tracer.  One cell produces
+one ``repro.bench``-shaped record (schema v1), so bench tooling can read
+matrix artifacts.
 
 Determinism is a hard contract: the report contains **no wall-clock
 values** (``wall_s`` stays ``0.0``), every cell's seed is derived from
@@ -165,7 +165,7 @@ def run_cell(cell: MatrixCell, quick: bool = False,
              sanitize: bool = False,
              postmortem_dir: Optional[str] = None,
              spec: Optional[ScenarioSpec] = None) -> "object":
-    """Run one cell under full state isolation; never raises.
+    """Run one cell in its own telemetry run; never raises.
 
     Returns a :class:`repro.obs.bench.BenchRecord` — the matrix reuses
     the bench record schema so one toolchain reads both artifacts.
@@ -177,66 +177,42 @@ def run_cell(cell: MatrixCell, quick: bool = False,
     ``--spec FILE`` scenarios run through the same machinery; the
     record is then named after the spec, not the cell.
 
-    With ``postmortem_dir`` set, the flight recorder and audit log are
-    armed for the cell and any error drops a forensics bundle
-    (``POSTMORTEM_<cell>.json``) there before the trailing isolation
-    reset wipes the evidence.
+    The cell runs in its own telemetry run.  With ``postmortem_dir``
+    set, the run's flight recorder and audit log are armed and any
+    error drops a forensics bundle (``POSTMORTEM_<cell>.json``) there.
     """
     import contextlib
 
     from repro.analysis.isosan import sanitized
-    from repro.hw import events as hw_events
-    from repro.obs import metrics, tracer
-    from repro.obs.bench import (
-        BenchRecord,
-        _histogram_percentiles,
-        _isolate,
-        jsonable,
-    )
+    from repro.obs.auditlog import AuditLog
+    from repro.obs.bench import BenchRecord, jsonable
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.telemetry import open_run
     from repro.scenario.build import build_scenario
 
     if spec is None:
         spec = cell_spec(cell, quick=quick)
     record = BenchRecord(name=spec.name)
-    _isolate()
-    forensic = postmortem_dir is not None
-    if forensic:
-        from repro.obs import auditlog as auditlog_mod
-        from repro.obs import flight as flight_mod
+    with open_run() as telemetry:
+        if postmortem_dir is not None:
+            telemetry.arm(audit_log=AuditLog(), flight=FlightRecorder())
+        try:
+            scope = sanitized() if sanitize else contextlib.nullcontext()
+            with scope:
+                with build_scenario(spec) as built:
+                    outputs = built.drive(quick=quick)
+            record.outputs = jsonable(outputs)
+        except Exception as exc:
+            record.status = "error"
+            record.error = traceback.format_exc(limit=8)
+            if postmortem_dir is not None:
+                from repro.obs import postmortem as postmortem_mod
 
-        auditlog_mod.enable_audit_log()
-        flight_mod.enable_flight_recording()
-    try:
-        scope = sanitized() if sanitize else contextlib.nullcontext()
-        with scope:
-            with build_scenario(spec) as built:
-                outputs = built.drive(quick=quick)
-        record.outputs = jsonable(outputs)
-    except Exception as exc:
-        record.status = "error"
-        record.error = traceback.format_exc(limit=8)
-        if forensic:
-            from repro.obs import postmortem as postmortem_mod
-
-            bundle = postmortem_mod.build_bundle(
-                reason=exc, spec=spec,
-                flight=flight_mod.get_flight_recorder(),
-                audit=auditlog_mod.get_audit_log(),
-                registry=metrics.get_registry())
-            postmortem_mod.write_bundle(
-                bundle,
-                postmortem_mod.bundle_path(postmortem_dir, spec.name))
-    finally:
-        stats = hw_events.kernel_stats()
-        record.sim_time_ns = stats["sim_ns_advanced"]
-        record.events_executed = stats["events_executed"]
-        record.trace_events = len(tracer.get_tracer().events)
-        record.metrics_instruments = len(metrics.get_registry())
-        record.histograms = _histogram_percentiles(metrics.get_registry())
-        if forensic:
-            flight_mod.reset()
-            auditlog_mod.reset()
-        _isolate()
+                postmortem_mod.write_bundle(
+                    postmortem_mod.build_bundle(reason=exc, spec=spec),
+                    postmortem_mod.bundle_path(postmortem_dir, spec.name))
+        finally:
+            record.take_telemetry(telemetry)
     return record
 
 

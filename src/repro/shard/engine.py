@@ -56,27 +56,26 @@ def _run_cell(spec: Dict[str, object], quick: bool, sanitize: bool,
     """One matrix partition.  Like ``run_cell`` it never raises: a
     scenario error becomes an error result."""
     from repro.analysis.isosan import sanitized
-    from repro.hw import events as hw_events
-    from repro.obs import metrics, tracer
-    from repro.obs.bench import _isolate, jsonable
+    from repro.obs.bench import jsonable
+    from repro.obs.telemetry import open_run
     from repro.scenario.build import build_scenario
 
     data: Dict[str, Any] = {"status": "ok"}
-    _isolate()
-    try:
-        with sanitized() if sanitize else contextlib.nullcontext():
-            with build_scenario(ScenarioSpec.from_dict(spec)) as built:
-                data["outputs"] = jsonable(built.drive(quick=quick))
-                data["latencies"] = sorted(
-                    t.latency_ns for t in built.runtime.stats.timings)
-    except Exception:
-        data.update(status="error", error=traceback.format_exc(limit=8),
-                    latencies=[])
-    finally:
-        data["kernel"] = hw_events.kernel_stats()
-        data["trace_events"] = len(tracer.get_tracer().events)
-        data["registry"] = registry_to_frame(metrics.get_registry())
-        _isolate()
+    with open_run() as telemetry:
+        try:
+            with sanitized() if sanitize else contextlib.nullcontext():
+                with build_scenario(ScenarioSpec.from_dict(spec)) as built:
+                    data["outputs"] = jsonable(built.drive(quick=quick))
+                    data["latencies"] = sorted(
+                        t.latency_ns for t in built.runtime.stats.timings)
+        except Exception:
+            data.update(status="error", error=traceback.format_exc(limit=8),
+                        latencies=[])
+    tracer = telemetry.tracer
+    data["kernel"] = {"events_executed": telemetry.events_executed,
+                      "sim_ns_advanced": telemetry.sim_ns_advanced}
+    data["trace_events"] = len(tracer.events) if tracer is not None else 0
+    data["registry"] = registry_to_frame(telemetry.registry)
     return data
 
 
@@ -111,7 +110,7 @@ def _run_task(mode: str, *args) -> Dict[str, object]:
 def run_sharded_partitions(tasks: Sequence[Task],
                            workers: int = 1) -> List[Dict[str, Any]]:
     """Run ``tasks`` on ``workers`` forked processes; results in task
-    order.  Runners reset process-global state first, so which process
+    order.  Each runner opens its own telemetry run, so which process
     ran a task never shows.  A task that raises, or whose process dies,
     raises :class:`ShardError` naming its index."""
     if not tasks:

@@ -9,7 +9,7 @@ from repro.core import NFConfig, NICOS, SNIC
 from repro.core.vpp import VPPConfig
 from repro.net.packet import Packet
 from repro.net.rules import MatchRule, Prefix
-from repro.obs import auditlog, flight, metrics
+from repro.obs.telemetry import open_run
 
 MB = 1024 * 1024
 
@@ -42,32 +42,17 @@ def isosan_enabled(request):
 
 
 @pytest.fixture(autouse=True)
-def fresh_metrics_registry():
-    """Reset the process-global metrics registry around every test.
+def telemetry():
+    """Run every test in its own telemetry run.
 
-    Components mint per-instance serial labels (``l2#7``) from a
-    process-global counter; without this, each test's instruments
-    depend on how many components every *earlier* test constructed, so
-    registry state (and label names) leak across tests.  The reset also
-    restarts the serial counter, making labels deterministic per test.
+    Components built during the test record into this run's registry
+    (per-instance labels start at ``l2#1``, ``bus#2`` …), audit log,
+    flight recorder and kernel counters, and nothing leaks into the
+    next test.  Sinks start disarmed; a test arms one with
+    ``telemetry.arm(...)``.
     """
-    metrics.reset()
-    yield
-    metrics.reset()
-
-
-@pytest.fixture(autouse=True)
-def fresh_forensics():
-    """Disable and clear the flight recorder and audit log around every
-    test.  Both are process-global singletons (the audit emitter holds
-    object references, so the reset clears in place); without this a
-    test that arms them would leak records — and hash-chain heads — into
-    every later test."""
-    flight.reset()
-    auditlog.reset()
-    yield
-    flight.reset()
-    auditlog.reset()
+    with open_run() as run:
+        yield run
 
 
 @pytest.fixture

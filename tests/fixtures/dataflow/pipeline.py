@@ -1,9 +1,9 @@
 """Taint-flow fixture for ``python -m repro dataflow`` (analysed as
 source only — never imported, so the flat imports below are fine).
 
-Seeded violations: SNIC009 fires at the ``deliver`` call in
-``steal_and_forward`` (unmediated memory->egress flow); the
-``FLOW_TABLE`` subscript store is cross-module SNIC010 evidence.
+Seeded violation: SNIC009 fires at the ``deliver`` call in
+``steal_and_forward`` (unmediated memory->egress flow).  The
+``FLOW_TABLE`` import gives the program graph a cross-module binding.
 ``mediated_forward`` routes through the NIC-OS seam and stays clean.
 """
 

@@ -1,22 +1,9 @@
-"""Shard-safety fixture: module-level mutables with and without
-function-scope writes.  SNIC010 fires on ``FLOW_TABLE`` (subscript
-stores from ``pipeline.py`` — a cross-module alias — and a ``del``
-here) and ``SEEN`` (mutator call from function scope); the constants
-and the import-time-only dict stay shard-safe."""
+"""Cross-module fixture for the program graph: ``pipeline.py`` imports
+``FLOW_TABLE`` from here, so ``from … import`` binding has a second
+analysed module to resolve against."""
 
-RULE_IDS = ("SNIC009", "SNIC010")  # immutable -> shard-safe
-
-DEFAULTS = {"mtu": 1500}  # mutable but only written at import time
-DEFAULTS["window"] = 64
-
-FLOW_TABLE = {}  # shard-unsafe: written from pipeline.steal_and_forward
-
-SEEN = set()  # shard-unsafe: mutated below, from function scope
+FLOW_TABLE = {}
 
 
-def remember(key):
-    SEEN.add(key)
-
-
-def forget(key):
-    del FLOW_TABLE[key]
+def remember(key, value):
+    FLOW_TABLE[key] = value

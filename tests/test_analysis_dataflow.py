@@ -1,9 +1,8 @@
-"""Whole-program dataflow analysis: graph, taint (SNIC009), escape
-analysis (SNIC010), the shard-safety manifest, and the baseline.
+"""Whole-program dataflow analysis: graph, taint (SNIC009), and the
+baseline.
 
 Two fixture sets drive these tests: the seeded violation tree under
-``tests/fixtures/dataflow/`` (known flows, known shard-unsafe state)
-and the real ``src/repro`` tree, which must run clean against the
+``tests/fixtures/dataflow/`` (known flows) and the real ``src/repro`` tree, which must run clean against the
 committed ``DATAFLOW_BASELINE.json`` — with every baseline entry still
 matching a live finding (no stale entries) and carrying a real
 justification.
@@ -24,20 +23,11 @@ from repro.analysis.dataflow.cli import (
     run_program_rules,
     write_baseline,
 )
-from repro.analysis.dataflow.escape import EscapeAnalysis
 from repro.analysis.dataflow.graph import (
     MODULE_BODY,
     CallSite,
     ProgramGraph,
 )
-from repro.analysis.dataflow.manifest import (
-    SCHEMA,
-    build_manifest,
-    format_manifest,
-    load_manifest,
-    write_manifest,
-)
-from repro.analysis.dataflow.rules import analyze
 from repro.analysis.dataflow.taint import SOURCE_SPECS, TaintAnalysis
 from repro.analysis.lint import load_modules, source_root
 
@@ -51,9 +41,10 @@ def fixture_graph() -> ProgramGraph:
 
 
 @pytest.fixture(scope="module")
-def repo_analysis():
-    """One shared full-repo analysis (graph + flows + state)."""
-    return analyze(load_modules([source_root()]))
+def repo_flows():
+    """The full repo's taint flows, computed once."""
+    return TaintAnalysis(
+        ProgramGraph.build(load_modules([source_root()]))).run()
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +71,6 @@ class TestProgramGraph:
     def test_from_import_binds_names_across_modules(self, fixture_graph):
         names = fixture_graph.imported_names["pipeline"]
         assert names["FLOW_TABLE"] == ("state", "FLOW_TABLE")
-        assert fixture_graph.importers_of("state") == ["pipeline"]
 
     def test_unresolvable_receiver_falls_back_by_name(self, fixture_graph):
         # egress.deliver(...) — "egress" is a parameter, so the call can
@@ -146,120 +136,13 @@ class TestTaint:
         assert "ringmod.caller" not in analysis.taint_witness
         assert flows == []
 
-    def test_repo_flows_all_baselined(self, repo_analysis):
+    def test_repo_flows_all_baselined(self, repo_flows):
         keys = {(f"{fl.chain[0]}->{fl.sink_site.name}"
                  f"<-{fl.chain[-1]}:{fl.source_site.name}")
-                for fl in repo_analysis["flows"]}
+                for fl in repo_flows}
         baseline = load_baseline(default_baseline_path())
         unlisted = {k for k in keys if ("SNIC009", k) not in baseline}
         assert not unlisted, f"new unmediated flows: {sorted(unlisted)}"
-
-
-# ----------------------------------------------------------------------
-# Escape analysis (SNIC010)
-# ----------------------------------------------------------------------
-
-class TestEscape:
-    @pytest.fixture(scope="class")
-    def infos(self, fixture_graph):
-        return {i.qualname: i for i in EscapeAnalysis(fixture_graph).run()}
-
-    def test_cross_module_subscript_store_is_unsafe(self, infos):
-        info = infos["state.FLOW_TABLE"]
-        assert not info.shard_safe
-        assert info.aliases == ["pipeline"]
-        assert any("pipeline:" in r and "subscript store" in r
-                   for r in info.reasons)
-        assert any("del on element" in r for r in info.reasons)
-
-    def test_function_scope_mutator_is_unsafe(self, infos):
-        info = infos["state.SEEN"]
-        assert not info.shard_safe
-        assert any("mutator .add() call" in r for r in info.reasons)
-
-    def test_import_time_only_mutation_is_safe(self, infos):
-        info = infos["state.DEFAULTS"]
-        assert info.mutable and info.shard_safe
-        assert info.reasons == ["mutable, but only written at import time"]
-
-    def test_immutable_binding_is_safe(self, infos):
-        info = infos["state.RULE_IDS"]
-        assert not info.mutable and info.shard_safe
-
-    def test_singleton_factory_handle_is_unsafe(self, tmp_path):
-        (tmp_path / "single.py").write_text(
-            "_TRACER = get_tracer()\n")
-        graph = ProgramGraph.build(load_modules([tmp_path]))
-        (info,) = EscapeAnalysis(graph).run()
-        assert not info.shard_safe
-        assert "singleton factory" in info.reasons[0]
-
-
-# ----------------------------------------------------------------------
-# Shard-safety manifest
-# ----------------------------------------------------------------------
-
-class TestManifest:
-    def test_fixture_manifest_shape(self, fixture_graph):
-        infos = EscapeAnalysis(fixture_graph).run()
-        manifest = build_manifest(fixture_graph, infos)
-        assert manifest["schema"] == SCHEMA
-        assert set(manifest["shard_unsafe"]) == {"state.FLOW_TABLE",
-                                                 "state.SEEN"}
-        state = manifest["modules"]["state"]
-        names = {m["name"]: m for m in state["mutables"]}
-        # Immutables are dropped from the inventory; mutables keep
-        # their classification either way.
-        assert "RULE_IDS" not in names
-        assert names["DEFAULTS"]["classification"] == "shard-safe"
-        assert names["FLOW_TABLE"]["classification"] == "shard-unsafe"
-        assert state["imported_by"] == ["pipeline"]
-
-    def test_manifest_is_deterministic(self, fixture_graph):
-        infos = EscapeAnalysis(fixture_graph).run()
-        first = format_manifest(build_manifest(fixture_graph, infos))
-        second = format_manifest(build_manifest(
-            fixture_graph, EscapeAnalysis(fixture_graph).run()))
-        assert first == second
-
-    def test_write_and_load_round_trip(self, fixture_graph, tmp_path):
-        infos = EscapeAnalysis(fixture_graph).run()
-        path = write_manifest(build_manifest(fixture_graph, infos),
-                              tmp_path / "manifest.json")
-        loaded = load_manifest(path)
-        assert loaded["n_shard_unsafe"] == 2
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"schema": "other", "version": 1}))
-        with pytest.raises(ValueError):
-            load_manifest(bogus)
-
-    def test_committed_manifest_is_current(self, repo_analysis):
-        fresh = format_manifest(build_manifest(repo_analysis["graph"],
-                                               repo_analysis["state"]))
-        committed = (REPO_ROOT / "SHARD_SAFETY.json").read_text()
-        assert fresh == committed, (
-            "SHARD_SAFETY.json is stale — regenerate with "
-            "`python -m repro dataflow --manifest SHARD_SAFETY.json`")
-
-    def test_repo_manifest_covers_hw_and_core_singletons(
-            self, repo_analysis):
-        manifest = build_manifest(repo_analysis["graph"],
-                                  repo_analysis["state"])
-        unsafe = set(manifest["shard_unsafe"])
-        # Every known process-global handle in the hardware and S-NIC
-        # layers must be certified shard-unsafe (acceptance criterion).
-        # repro.core.runtime._TRACER and repro.obs.metrics'
-        # _instance_serial used to sit here too; both moved to
-        # instance/registry state for the shard engine and are no
-        # longer process-global.
-        assert {"repro.hw.memory._AUDIT", "repro.hw.mmu._AUDIT",
-                "repro.hw.events._KERNEL", "repro.hw.cores._TRACER",
-                "repro.hw.dma._TRACER", "repro.hw.cache._TRACER",
-                "repro.hw.bus._TRACER", "repro.hw.accelerator._TRACER",
-                "repro.core.snic._AUDIT", "repro.core.snic._TRACER",
-                "repro.core.nic_os._AUDIT"} <= unsafe
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +211,7 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         payload = json.loads(first)
-        assert payload["n_active"] == 3
+        assert payload["n_active"] == 1
 
     def test_findings_sorted_by_path_line_rule(self):
         findings = run_program_rules(load_modules([FIXTURE_DIR]))

@@ -15,7 +15,8 @@ from repro.analysis.determinism import (
     digest_events,
     main as sanitize_main,
 )
-from repro.obs.tracer import TraceEvent, get_tracer
+from repro.obs.telemetry import current
+from repro.obs.tracer import TraceEvent, Tracer
 
 
 def _event(name="e", ts=10.0, dur=5.0, tenant=1, track="t", **args):
@@ -62,10 +63,9 @@ class TestDigests:
 class TestCheckDeterminism:
     def test_deterministic_run_passes(self):
         def run():
-            tracer = get_tracer()
-            tracer.enable()
+            tracer = Tracer()
+            current().arm(tracer=tracer)
             tracer.complete("step", 10.0, 5.0, tenant=1, track="x")
-            tracer.disable()
             return {"ok": True}
 
         report = check_determinism(run, scenario="unit")
@@ -79,11 +79,10 @@ class TestCheckDeterminism:
         counter = iter(range(100))
 
         def run():
-            tracer = get_tracer()
-            tracer.enable()
+            tracer = Tracer()
+            current().arm(tracer=tracer)
             tracer.complete("step", float(next(counter)), 5.0, tenant=1,
                             track="x")
-            tracer.disable()
             return None
 
         report = check_determinism(run, scenario="unit")
@@ -98,18 +97,19 @@ class TestCheckDeterminism:
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["deterministic"] is True
 
-    def test_globals_are_reset_between_and_after_runs(self):
+    def test_globals_are_reset_between_and_after_runs(self, telemetry):
+        seen = []
+
         def run():
-            tracer = get_tracer()
-            assert len(tracer.events) == 0, "previous run leaked events"
-            tracer.enable()
-            tracer.instant("x", tenant=None)
-            tracer.disable()
+            assert current().tracer is None, "previous run leaked a tracer"
+            seen.append(current())
+            current().arm(tracer=Tracer())
+            current().tracer.instant("x", tenant=None)
             return None
 
         check_determinism(run, scenario="unit")
-        assert len(get_tracer().events) == 0
-        assert not get_tracer().enabled
+        assert len(seen) == 2 and seen[0] is not seen[1]
+        assert current() is telemetry and telemetry.tracer is None
 
 
 class TestCotenancyGate:

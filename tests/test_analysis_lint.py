@@ -166,6 +166,19 @@ class TestRuleBehaviour:
         assert [f for f in lint_source(dirty) if f.rule == "SNIC004"]
         assert not [f for f in lint_source(clean) if f.rule == "SNIC004"]
 
+    def test_snic004_fires_on_the_run_sink_spelling(self):
+        # Hooks read their run's sinks through the Telemetry object; the
+        # receiver token stays ``tracer`` / ``registry`` either way.
+        text = ("class Bus:\n"
+                "    def hook(self):\n"
+                "        self._telemetry.tracer.instant('x')\n"
+                "        self._telemetry.registry.counter('x_total')\n"
+                "        tracer = self._telemetry.tracer\n"
+                "        if tracer is not None:\n"
+                "            tracer.instant('y')\n")
+        findings = [f for f in lint_source(text) if f.rule == "SNIC004"]
+        assert len(findings) == 3
+
     def test_snic004_interference_metric_needs_both_edges(self):
         victim_only = ("def f(registry):\n"
                        "    registry.counter('interference_wait_ns_total',\n"
@@ -294,11 +307,12 @@ class TestRuleBehaviour:
         assert findings and "audit record" in findings[0].message
 
     def test_snic008_scrub_with_emit_is_clean(self):
-        text = ("def teardown(memory, owner, _AUDIT):\n"
+        text = ("def teardown(memory, owner, telemetry):\n"
                 "    released = memory.release_pages(owner, scrub=True)\n"
-                "    if _AUDIT.active:\n"
-                "        _AUDIT.emit('memory.scrub', tenant=owner,\n"
-                "                    pages=released)\n")
+                "    audit = telemetry.audit\n"
+                "    if audit is not None:\n"
+                "        audit.emit('memory.scrub', tenant=owner,\n"
+                "                   pages=released)\n")
         assert not [f for f in lint_source(text) if f.rule == "SNIC008"]
 
     def test_snic008_tlb_method_without_emit(self):
@@ -312,9 +326,18 @@ class TestRuleBehaviour:
         text = ("class CoreTLB:\n"
                 "    def install(self, entry):\n"
                 "        self.entries.append(entry)\n"
-                "        if _AUDIT.active:\n"
-                "            _AUDIT.emit('tlb.install', bank=self.name)\n")
+                "        self._telemetry.audit.emit('tlb.install',\n"
+                "                                   bank=self.name)\n")
         assert not [f for f in lint_source(text) if f.rule == "SNIC008"]
+
+    def test_snic008_emit_without_an_audit_receiver_does_not_count(self):
+        # Only a receiver with an ``audit`` component witnesses: an emit
+        # on the bare Telemetry object would slip past the audit trail.
+        text = ("class CoreTLB:\n"
+                "    def install(self, entry):\n"
+                "        self.entries.append(entry)\n"
+                "        self._telemetry.emit('tlb.install')\n")
+        assert [f for f in lint_source(text) if f.rule == "SNIC008"]
 
     def test_snic008_non_tlb_install_is_exempt(self):
         # install/clear on a class without a TLB-ish name is out of scope.
@@ -332,9 +355,10 @@ class TestRuleBehaviour:
 
     def test_snic008_attestation_raise_with_emit_is_clean(self):
         text = ("def _reject(reason):\n"
-                "    if _AUDIT.active:\n"
-                "        _AUDIT.emit('attest.verdict', ok=False,\n"
-                "                    reason=reason)\n"
+                "    audit = current().audit\n"
+                "    if audit is not None:\n"
+                "        audit.emit('attest.verdict', ok=False,\n"
+                "                   reason=reason)\n"
                 "    raise AttestationError(reason)\n")
         assert not [f for f in lint_source(text) if f.rule == "SNIC008"]
 
@@ -456,7 +480,7 @@ class TestAstHelpers:
             self._call("self.vnic._snic.memory.read(0, 1)")) == "memory"
         assert receiver_token(self._call("host.read(0, 1)")) == "host"
         assert receiver_token(
-            self._call("get_registry().gauge('x')")) == "get_registry"
+            self._call("registry_for(x).gauge('x')")) == "registry_for"
         assert receiver_token(self._call("read(0, 1)")) == ""
 
     def test_call_name(self):

@@ -4,8 +4,8 @@ The examples are documentation that executes; a refactor that breaks
 one breaks the README's promises.  Each script runs via ``runpy`` with
 ``run_name="__main__"`` so its ``if __name__ == "__main__":`` block
 fires, stdout captured.  IsoSan is opted out: the attack demo
-*demonstrates* commodity isolation violations on purpose, and the
-examples manage their own process-global state end to end.
+*demonstrates* commodity isolation violations on purpose.  Each
+example runs in its own telemetry run.
 """
 
 from __future__ import annotations
@@ -23,18 +23,6 @@ EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
-def _reset_globals() -> None:
-    from repro.hw import events as hw_events
-    from repro.obs import metrics, tracer
-
-    metrics.reset()
-    hw_events.reset_kernel_stats()
-    t = tracer.get_tracer()
-    t.disable()
-    t.use_clock(None)
-    t.clear()
-
-
 def test_examples_exist():
     assert len(EXAMPLES) >= 7
 
@@ -44,11 +32,7 @@ def test_example_runs(path: Path, tmp_path, monkeypatch):
     # Run from a scratch directory so examples that write artifacts
     # (traces, reports) don't litter the repo root.
     monkeypatch.chdir(tmp_path)
-    _reset_globals()
     buffer = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(buffer):
-            runpy.run_path(str(path), run_name="__main__")
-    finally:
-        _reset_globals()
+    with contextlib.redirect_stdout(buffer):
+        runpy.run_path(str(path), run_name="__main__")
     assert buffer.getvalue().strip(), f"{path.name} printed nothing"

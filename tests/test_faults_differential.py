@@ -28,8 +28,8 @@ from repro.faults.differential import (
     render_text,
     run_legs,
 )
-from repro.obs import auditlog
-from repro.obs.interference import get_accountant
+from repro.obs.interference import blame_matrix
+from repro.obs.telemetry import current
 from repro.obs.postmortem import load_bundle
 
 #: sha256 of ``run_chaos(seed=0, quick=True, matrix=True)`` as
@@ -83,16 +83,22 @@ class TestBlastRadius:
 
 
 class TestLegs:
-    def test_registry_is_reset_before_each_leg(self):
+    def test_registry_is_reset_before_each_leg(self, telemetry):
+        runs = []
+
         def rig(perturbed):
+            runs.append(current())
             if not perturbed:
-                get_accountant().blame("bus", victim=1, culprit=2,
-                                       wait_ns=50.0)
+                current().accountant.blame("bus", victim=1, culprit=2,
+                                           wait_ns=50.0)
             return perturbed
 
-        unperturbed, perturbed, matrix = run_legs(rig)
+        unperturbed, perturbed, leg = run_legs(rig)
         assert (unperturbed, perturbed) == (False, True)
-        assert matrix == {}
+        # Each leg ran in its own run; the perturbed one is returned.
+        assert runs[1] is leg and runs[0] is not leg
+        assert telemetry not in runs and current() is telemetry
+        assert blame_matrix(leg.registry) == {}
 
     def test_armed_uninstalls_on_error(self):
         plan = FaultPlan(0)
@@ -113,11 +119,11 @@ class TestLegs:
     def test_forensics_writes_a_crash_bundle(self, tmp_path):
         with pytest.raises(WatchdogTimeout):
             with forensics(str(tmp_path), "leg", reason="not used"):
-                assert auditlog.get_emitter().active
+                assert current().audit is not None
                 raise WatchdogTimeout("deadline missed")
         bundle = load_bundle(str(tmp_path / "POSTMORTEM_leg.json"))
         assert "WatchdogTimeout" in json.dumps(bundle["reason"])
-        assert auditlog.get_emitter().active is False
+        assert current().audit is None
 
 
 class TestRender:

@@ -7,18 +7,18 @@ import json
 
 import pytest
 
-from repro.obs import auditlog, flight
 from repro.obs.auditlog import (
     GENESIS,
     AuditLog,
     record_hash,
     verify_records,
 )
+from repro.obs.flight import FlightRecorder
+from repro.obs.telemetry import Telemetry
 
 
 def make_log(n: int = 6) -> AuditLog:
     log = AuditLog()
-    log.enable()
     kinds = ("tlb.install", "memory.scrub", "attest.verdict",
              "denylist.blocked", "fault.injected", "recovery.restart")
     for i in range(n):
@@ -146,53 +146,53 @@ class TestTamperDetection:
 
 
 class TestEmitterRouting:
-    def test_inactive_emitter_drops_everything(self):
-        emitter = auditlog.get_emitter()
-        assert emitter.active is False
-        emitter.emit("tlb.install", tenant=1, bank="x")
-        assert len(auditlog.get_audit_log()) == 0
-        assert len(flight.get_flight_recorder()) == 0
+    def test_inactive_emitter_drops_everything(self, telemetry):
+        from repro.hw.mmu import TLB, TLBEntry
 
-    def test_emitter_routes_to_enabled_log(self):
-        auditlog.enable_audit_log()
-        emitter = auditlog.get_emitter()
-        assert emitter.active is True
-        emitter.emit("memory.scrub", tenant=2, pages=4)
-        log = auditlog.get_audit_log()
+        assert telemetry.audit is None
+        TLB(name="core0").install(TLBEntry(vbase=0, pbase=0, size=4096))
+        log, recorder = AuditLog(), FlightRecorder()
+        telemetry.arm(audit_log=log, flight=recorder)
+        assert len(log) == 0
+        assert len(recorder) == 0
+
+    def test_emitter_routes_to_enabled_log(self, telemetry):
+        telemetry.arm(audit_log=AuditLog())
+        audit = telemetry.audit
+        assert audit is telemetry.audit_log
+        audit.emit("memory.scrub", tenant=2, pages=4)
+        log = telemetry.audit_log
         assert len(log) == 1
         assert log.records[0]["kind"] == "memory.scrub"
         assert log.records[0]["tenant"] == 2
         assert log.records[0]["detail"] == {"pages": 4}
         assert log.verify_chain() is None
 
-    def test_emitter_routes_to_enabled_flight(self):
-        flight.enable_flight_recording()
-        emitter = auditlog.get_emitter()
-        assert emitter.active is True
-        emitter.emit("tlb.clear", tenant=None, bank="core0", dropped=3)
-        recorder = flight.get_flight_recorder()
+    def test_emitter_routes_to_enabled_flight(self, telemetry):
+        recorder = FlightRecorder()
+        telemetry.arm(flight=recorder)
+        assert telemetry.audit is recorder
+        telemetry.audit.emit("tlb.clear", tenant=None, bank="core0",
+                             dropped=3)
         assert len(recorder) == 1
         entry = recorder.entries()[0]
         assert (entry.kind, entry.name, entry.track) == \
             ("audit", "tlb.clear", "audit")
         assert entry.args == {"bank": "core0", "dropped": 3}
-        # The log stayed off: nothing appended there.
-        assert len(auditlog.get_audit_log()) == 0
+        # No log armed: nothing appended anywhere else.
+        assert telemetry.audit_log is None
 
-    def test_both_sinks_share_one_timestamp(self):
-        auditlog.enable_audit_log()
-        flight.enable_flight_recording()
-        auditlog.get_emitter().emit("attest.verdict", tenant=1, ok=True)
-        record = auditlog.get_audit_log().records[0]
-        entry = flight.get_flight_recorder().entries()[0]
+    def test_both_sinks_share_one_timestamp(self, telemetry):
+        telemetry.arm(audit_log=AuditLog(), flight=FlightRecorder())
+        telemetry.audit.emit("attest.verdict", tenant=1, ok=True)
+        record = telemetry.audit_log.records[0]
+        entry = telemetry.flight.entries()[0]
         assert entry.ts_ns == record["ts_ns"]
 
-    def test_reset_returns_emitter_to_inactive(self):
-        auditlog.enable_audit_log()
-        flight.enable_flight_recording()
-        auditlog.reset()
-        flight.reset()
-        assert auditlog.get_emitter().active is False
+    def test_reset_returns_emitter_to_inactive(self, telemetry):
+        telemetry.arm(audit_log=AuditLog(), flight=FlightRecorder())
+        telemetry.arm(audit_log=None, flight=None)
+        assert telemetry.audit is None
 
 
 class TestDeterminism:
@@ -202,20 +202,17 @@ class TestDeterminism:
             json.dumps(b.tail(), sort_keys=True)
 
     def test_bound_clock_lands_in_records(self):
-        log = AuditLog()
-        log.enable(clock=lambda: 12_345)
+        log = AuditLog(clock=lambda: 12_345)
         log.append("watchdog.timeout", tenant=1)
         assert log.records[0]["ts_ns"] == 12345.0
 
     def test_detail_keys_are_sorted(self):
         log = AuditLog()
-        log.enable()
         log.append("k", zebra=1, alpha=2, mid=3)
         assert list(log.records[0]["detail"]) == ["alpha", "mid", "zebra"]
 
     def test_non_jsonable_detail_values_are_coerced(self):
         log = AuditLog()
-        log.enable()
         log.append("k", data=b"\x01\x02", items=(1, 2))
         detail = log.records[0]["detail"]
         assert detail["items"] == [1, 2]
@@ -224,23 +221,26 @@ class TestDeterminism:
 
 
 class TestDisabledLogIsInert:
-    def test_append_requires_enable(self):
-        log = AuditLog()
-        # Disabled logs are never handed appends by the emitter; direct
-        # appends still work (the flag gates the *facade*), so assert
-        # the facade contract instead.
-        emitter = auditlog.AuditEmitter(log, flight.FlightRecorder())
-        emitter.refresh()
-        assert emitter.active is False
-        emitter.emit("k")
-        assert len(log) == 0
+    def test_append_requires_enable(self, telemetry):
+        # A log receives component events only once armed on the run.
+        from repro.hw.mmu import TLB
 
-    def test_module_singleton_identity_is_stable(self):
-        # Resets must clear in place — the emitter holds references.
-        log_before = auditlog.get_audit_log()
-        auditlog.enable_audit_log()
-        auditlog.reset()
-        assert auditlog.get_audit_log() is log_before
+        log = AuditLog()
+        tlb = TLB(name="core0")
+        tlb.lock()
+        assert len(log) == 0
+        telemetry.arm(audit_log=log)
+        tlb.clear(force=True)
+        assert [r["kind"] for r in log.records] == ["tlb.clear"]
+
+    def test_module_singleton_identity_is_stable(self, telemetry):
+        # Arming another sink neither copies nor replaces the log.
+        log = AuditLog()
+        telemetry.arm(audit_log=log)
+        telemetry.arm(flight=FlightRecorder())
+        assert telemetry.audit_log is log
+        assert telemetry.audit is log
+        assert Telemetry().audit_log is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 33])

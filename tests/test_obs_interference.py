@@ -20,8 +20,8 @@ from repro.obs.interference import (
     blame_matrix,
     cross_tenant_events,
     cross_tenant_wait_ns,
-    get_accountant,
 )
+from repro.obs.telemetry import current
 
 VICTIM = 1
 AGGRESSOR = 2
@@ -39,13 +39,13 @@ def cell(resource: str, victim: int, culprit: int):
 
 class TestAccountant:
     def test_blame_lands_in_both_counter_families(self):
-        get_accountant().blame("bus", victim=VICTIM, culprit=AGGRESSOR,
-                               wait_ns=42.0)
+        current().accountant.blame("bus", victim=VICTIM,
+                                   culprit=AGGRESSOR, wait_ns=42.0)
         entry = cell("bus", VICTIM, AGGRESSOR)
         assert entry == {"wait_ns": 42.0, "events": 1.0}
 
     def test_blame_accumulates(self):
-        acc = get_accountant()
+        acc = current().accountant
         acc.blame("bus", victim=VICTIM, culprit=AGGRESSOR, wait_ns=10.0)
         acc.blame("bus", victim=VICTIM, culprit=AGGRESSOR, wait_ns=5.0,
                   events=3)
@@ -53,12 +53,12 @@ class TestAccountant:
         assert entry == {"wait_ns": 15.0, "events": 4.0}
 
     def test_zero_blame_is_dropped(self):
-        get_accountant().blame("bus", victim=VICTIM, culprit=AGGRESSOR,
-                               wait_ns=0.0, events=0)
+        current().accountant.blame("bus", victim=VICTIM,
+                                   culprit=AGGRESSOR, wait_ns=0.0, events=0)
         assert blame_matrix(resource="bus") == {}
 
     def test_cross_tenant_totals_exclude_self_waits(self):
-        acc = get_accountant()
+        acc = current().accountant
         acc.blame("bus", victim=VICTIM, culprit=VICTIM, wait_ns=100.0)
         acc.blame("bus", victim=VICTIM, culprit=AGGRESSOR, wait_ns=30.0)
         acc.blame("dram", victim=AGGRESSOR, culprit=VICTIM, wait_ns=7.0)
@@ -70,7 +70,7 @@ class TestAccountant:
 
 class TestFCFSWaitAttributor:
     def test_wait_is_split_across_occupying_clients(self):
-        att = FCFSWaitAttributor("bus")
+        att = FCFSWaitAttributor("bus", current().accountant)
         att.occupy(AGGRESSOR, 0.0, 100.0)
         # Victim issues at t=10 and cannot start before t=100: the
         # remaining 90 ns of the aggressor's segment are its fault.
@@ -79,7 +79,7 @@ class TestFCFSWaitAttributor:
                                                   "events": 1.0}
 
     def test_expired_segments_are_not_blamed(self):
-        att = FCFSWaitAttributor("bus")
+        att = FCFSWaitAttributor("bus", current().accountant)
         att.occupy(AGGRESSOR, 0.0, 100.0)
         att.occupy(VICTIM, 100.0, 150.0)
         # At t=120 the aggressor's segment has fully drained; only the
@@ -90,7 +90,7 @@ class TestFCFSWaitAttributor:
                                                "events": 1.0}
 
     def test_no_wait_no_blame(self):
-        att = FCFSWaitAttributor("bus")
+        att = FCFSWaitAttributor("bus", current().accountant)
         att.occupy(AGGRESSOR, 0.0, 100.0)
         att.attribute(VICTIM, 200.0, 200.0)
         assert blame_matrix(resource="bus") == {}

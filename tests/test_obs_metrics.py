@@ -11,16 +11,14 @@ from repro.obs.export import (
     metrics_to_csv,
     write_metrics_json,
 )
-from repro.obs import metrics
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     default_latency_buckets,
-    get_registry,
-    instance_label,
 )
+from repro.obs.telemetry import current, open_run
 
 
 class TestInstruments:
@@ -40,7 +38,8 @@ class TestInstruments:
         assert gauge.value == 13.0
 
     def test_instance_label_is_process_unique(self):
-        labels = {instance_label("l2") for _ in range(50)}
+        registry = current().registry
+        labels = {registry.instance_label("l2") for _ in range(50)}
         assert len(labels) == 50
         assert all(label.startswith("l2#") for label in labels)
 
@@ -248,8 +247,9 @@ class TestRegistry:
         (sample,) = registry.snapshot()
         assert sample["value"] == 42
 
-    def test_global_registry_singleton(self):
-        assert get_registry() is get_registry()
+    def test_global_registry_singleton(self, telemetry):
+        assert current().registry is current().registry is \
+            telemetry.registry
 
 
 class TestExport:
@@ -321,7 +321,7 @@ class TestCacheMigration:
         cache = self._cache()
         cache.access(0, owner=1)
         cache.access(0, owner=1)
-        registry = get_registry()
+        registry = current().registry
         hits = registry.counter("cache_hits_total",
                                 cache=cache._obs_label, tenant=1)
         misses = registry.counter("cache_misses_total",
@@ -363,40 +363,43 @@ class TestBusMigration:
 
         bus = IOBus(FCFSArbiter(bandwidth_bytes_per_ns=1.0))
         bus.transfer(1, 100, now_ns=0.0)
-        hist = get_registry().histogram("bus_latency_ns",
-                                        bus=bus._obs_label, tenant=1)
+        hist = current().registry.histogram("bus_latency_ns",
+                                            bus=bus._obs_label, tenant=1)
         assert hist.count == 1
         assert hist.mean == pytest.approx(100.0)
 
 
 class TestModuleReset:
-    """The module-level reset()/snapshot() API used by the bench
-    harness and the autouse conftest fixture."""
+    """Each telemetry run owns a fresh registry: what the bench and
+    matrix harnesses and the autouse conftest fixture rely on instead
+    of resetting a process-global one."""
 
     def test_reset_clears_global_registry(self):
-        get_registry().counter("stale_counter", tenant=1).inc(5)
-        assert len(get_registry()) > 0
-        metrics.reset()
-        assert len(get_registry()) == 0
-        assert metrics.snapshot() == []
+        current().registry.counter("stale_counter", tenant=1).inc(5)
+        assert len(current().registry) > 0
+        with open_run() as run:
+            assert len(run.registry) == 0
+            assert run.registry.snapshot() == []
 
     def test_reset_restarts_instance_serials(self):
-        first = instance_label("l2")
-        metrics.reset()
-        assert instance_label("l2") == first
+        first = current().registry.instance_label("l2")
+        with open_run() as run:
+            assert run.registry.instance_label("l2") == first
 
     def test_serials_unique_between_resets(self):
-        metrics.reset()
-        assert instance_label("bus") == "bus#1"
-        assert instance_label("bus") == "bus#2"
-        assert instance_label("dma") == "dma#3"
+        with open_run() as run:
+            registry = run.registry
+            assert registry.instance_label("bus") == "bus#1"
+            assert registry.instance_label("bus") == "bus#2"
+            assert registry.instance_label("dma") == "dma#3"
 
-    def test_registry_object_survives_reset(self):
-        registry = get_registry()
-        metrics.reset()
-        assert get_registry() is registry
+    def test_registry_object_survives_reset(self, telemetry):
+        registry = current().registry
+        with open_run():
+            pass
+        assert current().registry is registry is telemetry.registry
 
     def test_module_snapshot_sees_global_registry(self):
-        get_registry().gauge("fresh_gauge", tenant=2).set(7.0)
-        names = {row["name"] for row in metrics.snapshot()}
+        current().registry.gauge("fresh_gauge", tenant=2).set(7.0)
+        names = {row["name"] for row in current().registry.snapshot()}
         assert "fresh_gauge" in names

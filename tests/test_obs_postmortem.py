@@ -8,7 +8,9 @@ import json
 
 import pytest
 
-from repro.obs import auditlog, flight, metrics, postmortem
+from repro.obs import postmortem
+from repro.obs.auditlog import AuditLog
+from repro.obs.flight import FlightRecorder
 from repro.obs.postmortem import (
     build_bundle,
     bundle_path,
@@ -18,20 +20,22 @@ from repro.obs.postmortem import (
     verify_bundle,
     write_bundle,
 )
+from repro.obs.telemetry import current, open_run
 
 
 def drive_forensics(seed: int = 3) -> None:
-    """Deterministically exercise both sinks (same seed → same state)."""
-    auditlog.enable_audit_log()
-    flight.enable_flight_recording()
-    emitter = auditlog.get_emitter()
+    """Deterministically exercise both sinks of the current run (same
+    seed → same state)."""
+    telemetry = current()
+    telemetry.arm(audit_log=AuditLog(), flight=FlightRecorder())
+    audit = telemetry.audit
     for i in range(seed + 4):
-        emitter.emit("tlb.install", tenant=i % 2, bank=f"core{i % 2}",
-                     vbase=i * 4096, size=4096)
-    emitter.emit("memory.scrub", tenant=0, pages=seed, scrubbed=True)
-    metrics.get_registry().counter(
+        audit.emit("tlb.install", tenant=i % 2, bank=f"core{i % 2}",
+                   vbase=i * 4096, size=4096)
+    audit.emit("memory.scrub", tenant=0, pages=seed, scrubbed=True)
+    telemetry.registry.counter(
         "fixture_pm_total", tenant=0).inc(seed)
-    flight.get_flight_recorder().note_metrics()
+    telemetry.flight.note_metrics(telemetry.registry)
 
 
 class _Spec:
@@ -54,10 +58,9 @@ class TestBundleAssembly:
                                     "message": "boom"}
         assert bundle["scenario"] == {"name": "pm-fixture", "seed": 42}
         assert bundle["seed"] == 42
-        assert bundle["audit"]["n_records"] == len(
-            auditlog.get_audit_log())
+        assert bundle["audit"]["n_records"] == len(current().audit_log)
         assert bundle["audit"]["chain_head"] == \
-            auditlog.get_audit_log().head()
+            current().audit_log.head()
         assert bundle["flight"]["entries"]
         assert isinstance(bundle["metrics"], list)
         assert "cross_tenant_wait_ns" in bundle["interference"]
@@ -93,23 +96,19 @@ class TestDeterminism:
         """The acceptance gate: two same-seed runs → identical bytes."""
         blobs = []
         for _ in range(2):
-            flight.reset()
-            auditlog.reset()
-            metrics.reset()
-            drive_forensics(seed=5)
-            bundle = build_bundle(reason={"kind": "IsolationViolation",
-                                          "message": "x"}, spec=_Spec())
+            with open_run():
+                drive_forensics(seed=5)
+                bundle = build_bundle(reason={"kind": "IsolationViolation",
+                                              "message": "x"}, spec=_Spec())
             blobs.append(json.dumps(bundle, indent=2, sort_keys=True))
         assert blobs[0] == blobs[1]
 
     def test_different_seeds_differ(self):
         blobs = []
         for seed in (5, 6):
-            flight.reset()
-            auditlog.reset()
-            metrics.reset()
-            drive_forensics(seed=seed)
-            bundle = build_bundle(reason="r")
+            with open_run():
+                drive_forensics(seed=seed)
+                bundle = build_bundle(reason="r")
             blobs.append(json.dumps(bundle, sort_keys=True))
         assert blobs[0] != blobs[1]
 
@@ -227,16 +226,16 @@ class TestCLI:
 
     def test_diff_identical_and_divergent(self, tmp_path):
         p1 = self._write(tmp_path, "POSTMORTEM_a.json")
-        flight.reset(); auditlog.reset(); metrics.reset()  # noqa: E702
-        p2 = self._write(tmp_path, "POSTMORTEM_b.json")
+        with open_run():
+            p2 = self._write(tmp_path, "POSTMORTEM_b.json")
         out = io.StringIO()
         assert postmortem.main([p1, "--diff", p2], stream=out) == 0
         assert "identical" in out.getvalue()
 
         def mutate(bundle):
             bundle["seed"] = 1337
-        flight.reset(); auditlog.reset(); metrics.reset()  # noqa: E702
-        p3 = self._write(tmp_path, "POSTMORTEM_c.json", mutate=mutate)
+        with open_run():
+            p3 = self._write(tmp_path, "POSTMORTEM_c.json", mutate=mutate)
         out = io.StringIO()
         assert postmortem.main([p1, "--diff", p3], stream=out) == 1
         assert "seed" in out.getvalue()
@@ -263,7 +262,7 @@ class TestHarnessWiring:
             assert verify_bundle(bundle) == []
             assert bundle["audit"]["records"], name
         # Forensics are disarmed afterwards.
-        assert auditlog.get_emitter().active is False
+        assert current().audit is None
 
     def test_chaos_report_is_identical_without_postmortem(self, tmp_path):
         from repro.faults.chaos import run_chaos
@@ -285,8 +284,8 @@ class TestHarnessWiring:
 
         class Boom:
             def __enter__(self):
-                auditlog.get_emitter().emit("denylist.blocked",
-                                            tenant=1, op="os_access")
+                current().audit.emit("denylist.blocked",
+                                     tenant=1, op="os_access")
                 raise RuntimeError("synthetic cell failure")
 
             def __exit__(self, *exc):

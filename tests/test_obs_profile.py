@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hw.events import Simulator, kernel_stats, reset_kernel_stats
+from repro.hw.events import Simulator
 from repro.obs.profile import (
     FrameStat,
     Profiler,
@@ -28,9 +28,7 @@ def make_span(tracer: Tracer, name: str, ts: float, dur: float, *,
 
 @pytest.fixture
 def tracer():
-    t = Tracer(enabled=True)
-    yield t
-    t.disable()
+    return Tracer()
 
 
 class TestFrames:
@@ -160,8 +158,7 @@ class TestCollapsedExport:
 
 
 class TestKernelHook:
-    def test_attach_detach_and_wall_attribution(self):
-        reset_kernel_stats()
+    def test_attach_detach_and_wall_attribution(self, telemetry):
         sim = Simulator()
         prof = Profiler()
         prof.attach_kernel(sim)
@@ -181,7 +178,8 @@ class TestKernelHook:
         assert row["events"] == 2
         assert row["sim_ns"] == 25
         assert row["host_ns"] > 0
-        assert kernel_stats()["events_executed"] == 2
+        assert telemetry.events_executed == 2
+        assert telemetry.sim_ns_advanced == 25
 
     def test_detached_kernel_records_nothing_more(self):
         sim = Simulator()

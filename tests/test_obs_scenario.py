@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs import get_tracer, metrics
+from repro.obs import metrics
 from repro.obs.scenario import run_cotenancy_scenario, sample_snic_gauges
 from repro.obs.profile import Profiler
 
@@ -46,9 +46,17 @@ class TestCotenancyScenario:
         doc = json.loads((tmp_path / "metrics.json").read_text())
         assert doc  # at least one instrument exported
 
-    def test_tracer_left_disabled(self, summary):
-        # The scenario must not leak an enabled tracer into later code.
-        assert not get_tracer().enabled
+    def test_tracer_left_disabled(self, tmp_path):
+        # The scenario arms its tracer on the caller's run only: code
+        # in an enclosing run never sees it.
+        from repro.obs.telemetry import current, open_run
+
+        outer = current()
+        with open_run() as run:
+            summary = run_cotenancy_scenario(
+                out_path=str(tmp_path / "t.json"), n_packets=4)
+        assert run.tracer is summary["tracer"]
+        assert current() is outer and outer.tracer is None
 
     def test_profiler_hook_times_kernel_events(self, tmp_path):
         prof = Profiler()

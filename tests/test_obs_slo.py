@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.hw.events import Simulator
-from repro.obs import auditlog
+from repro.obs.auditlog import AuditLog
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import (
     BURN_CAP,
@@ -272,19 +272,15 @@ class TestBurnRateAlerter:
         assert alerter.alerts[0].kind == "interference_budget_ns"
         assert alerter.alerts[0].fast_burn == BURN_CAP
 
-    def test_alerts_witnessed_in_audit_log(self):
-        auditlog.reset()
-        auditlog.enable_audit_log()
-        try:
-            agg, alerter, hist = self._setup(MetricsRegistry())
-            hist.observe(50_000.0)
-            agg.rotate(now_ns=100)
-            log = auditlog.get_audit_log()
-            kinds = [record["kind"] for record in log.records]
-            assert "slo.alert" in kinds
-            assert log.verify_chain() is None
-        finally:
-            auditlog.reset()
+    def test_alerts_witnessed_in_audit_log(self, telemetry):
+        log = AuditLog()
+        telemetry.arm(audit_log=log)
+        agg, alerter, hist = self._setup(MetricsRegistry())
+        hist.observe(50_000.0)
+        agg.rotate(now_ns=100)
+        kinds = [record["kind"] for record in log.records]
+        assert "slo.alert" in kinds
+        assert log.verify_chain() is None
 
     def test_alert_dicts_jsonable(self):
         agg, alerter, hist = self._setup(MetricsRegistry())

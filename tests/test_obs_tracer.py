@@ -5,40 +5,44 @@ import json
 import pytest
 
 from repro.obs.chrome_trace import INFRA_PID, to_chrome_trace, write_chrome_trace
-from repro.obs.tracer import NOOP_SPAN, TraceEvent, Tracer, get_tracer
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracer import TraceEvent, Tracer
 
 
 class TestDisabledFastPath:
-    def test_disabled_by_default(self):
-        assert Tracer().enabled is False
-        assert get_tracer().enabled is False
+    def test_disabled_by_default(self, telemetry):
+        assert telemetry.tracer is None
+        assert Telemetry().tracer is None
 
-    def test_disabled_span_is_shared_noop_singleton(self):
-        """The disabled path must not allocate: every span() call returns
-        the same module-level singleton."""
-        tracer = Tracer(enabled=False)
-        first = tracer.span("a", tenant=1)
-        second = tracer.span("b", tenant=2, cat="x")
-        assert first is NOOP_SPAN
-        assert second is NOOP_SPAN
+    def test_disabled_span_is_shared_noop_singleton(self, telemetry):
+        """The disabled path must not allocate: a disarmed tracer is the
+        shared ``None`` in every run, never a per-run no-op object."""
+        assert telemetry.tracer is None
+        assert Telemetry().tracer is Telemetry().tracer
 
-    def test_disabled_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("s", tenant=1):
-            pass
-        tracer.complete("c", 0.0, 10.0)
-        tracer.instant("i")
-        tracer.counter_sample("n", 3)
-        assert len(tracer) == 0
+    def test_disabled_records_nothing(self, telemetry):
+        """A component built while the tracer is disarmed records
+        nothing, then records into a tracer armed afterwards."""
+        from repro.hw.cache import Cache, CacheConfig
+
+        cache = Cache(CacheConfig(size_bytes=8192, ways=4), name="l2t")
+        cache.access(0, owner=1)
+        tracer = Tracer()
+        telemetry.arm(tracer=tracer)
+        cache.access(64, owner=2)
+        assert [s.tenant for s in tracer.spans("cache.miss")] == [2]
 
     def test_noop_span_accepts_annotations(self):
-        with Tracer(enabled=False).span("s") as span:
-            span.annotate(key="value")  # must not raise
+        tracer = Tracer()
+        with tracer.span("s", tenant=1) as span:
+            span.annotate(key="value")
+        (event,) = tracer.events
+        assert event.args == {"key": "value"}
 
 
 class TestSpans:
     def test_span_nesting_containment(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with tracer.span("outer", tenant=1, track="t"):
             with tracer.span("inner", tenant=1, track="t"):
                 pass
@@ -48,7 +52,7 @@ class TestSpans:
         assert inner.ts_ns + inner.dur_ns <= outer.ts_ns + outer.dur_ns
 
     def test_span_annotations_recorded(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with tracer.span("s", tenant=4, frames=3) as span:
             span.annotate(bytes=64)
         event = tracer.events[0]
@@ -56,7 +60,7 @@ class TestSpans:
         assert event.tenant == 4
 
     def test_complete_with_explicit_timestamps(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.complete("bus.transfer", 100.0, 40.0, tenant=2, track="bus",
                         cat="bus", bytes=512)
         event = tracer.events[0]
@@ -65,12 +69,12 @@ class TestSpans:
         assert event.track == "bus" and event.args["bytes"] == 512
 
     def test_negative_duration_clamped(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.complete("x", 10.0, -5.0)
         assert tracer.events[0].dur_ns == 0.0
 
     def test_instant_and_counter(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.instant("drop", tenant=1, track="rx")
         tracer.counter_sample("depth", 7, tenant=1, track="rx")
         drop, depth = tracer.events
@@ -79,19 +83,19 @@ class TestSpans:
 
     def test_bound_clock_drives_timestamps(self):
         now = {"t": 500.0}
-        tracer = Tracer(enabled=True, clock=lambda: now["t"])
+        tracer = Tracer(clock=lambda: now["t"])
         with tracer.span("s"):
             now["t"] = 800.0
         event = tracer.events[0]
         assert event.ts_ns == 500.0 and event.dur_ns == 300.0
 
     def test_fallback_clock_is_monotonic_ticks(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         first, second = tracer.now(), tracer.now()
         assert second > first
 
     def test_drain_and_clear(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.instant("a")
         assert len(tracer.drain()) == 1
         assert len(tracer) == 0
@@ -100,7 +104,7 @@ class TestSpans:
         assert len(tracer) == 0
 
     def test_query_helpers(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.complete("a", 0, 1, tenant=2, track="bus")
         tracer.complete("b", 0, 1, tenant=1, track="l2")
         tracer.instant("c", track="bus")
@@ -112,7 +116,7 @@ class TestSpans:
 
 class TestChromeExport:
     def _demo_tracer(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.complete("bus.transfer", 1000.0, 250.0, tenant=1, track="bus",
                         cat="bus", bytes=64)
         tracer.complete("bus.transfer", 2000.0, 250.0, tenant=2, track="bus",
@@ -183,17 +187,12 @@ class TestChromeExport:
 
 
 class TestInstrumentationHooks:
-    """End-to-end: enabling the global tracer makes the hw layers emit."""
+    """End-to-end: arming the run's tracer makes the hw layers emit."""
 
-    def setup_method(self):
-        self.tracer = get_tracer()
-        self.tracer.clear()
-        self.tracer.enable(clock=None)
-
-    def teardown_method(self):
-        self.tracer.disable()
-        self.tracer.use_clock(None)
-        self.tracer.clear()
+    @pytest.fixture(autouse=True)
+    def _armed(self, telemetry):
+        self.tracer = Tracer()
+        telemetry.arm(tracer=self.tracer)
 
     def test_cache_miss_spans_are_tenant_tagged(self):
         from repro.hw.cache import Cache, CacheConfig
@@ -237,7 +236,7 @@ class TestInstrumentationHooks:
 
 
 class TestScenario:
-    def test_cotenancy_scenario_meets_acceptance(self, tmp_path):
+    def test_cotenancy_scenario_meets_acceptance(self, tmp_path, telemetry):
         """The `python -m repro trace` payload: valid Chrome JSON with
         spans from >= 3 hardware layers, all tenant-labelled."""
         from repro.obs.scenario import run_cotenancy_scenario
@@ -254,4 +253,5 @@ class TestScenario:
         assert len(tenant_labels) >= 2
         assert summary["events"] == sum(
             1 for e in doc["traceEvents"] if e["ph"] != "M")
-        assert not get_tracer().enabled  # scenario restores disabled state
+        # The scenario's tracer lives on the caller's run.
+        assert telemetry.tracer is summary["tracer"]

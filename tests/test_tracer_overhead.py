@@ -1,15 +1,18 @@
-"""Micro-tests for the disabled-tracer fast path.
+"""Micro-tests for the disarmed-sink fast path.
 
 The tracing discipline (see :mod:`repro.obs.tracer`) promises that a
-disabled tracer costs one attribute load and a falsy branch on the hot
-path — no event allocation, no clock read.  These tests pin that down
-two ways: a real scenario run with tracing off must record *zero*
-events, and a timed hot loop against the disabled tracer must stay
-within a few percent of the same loop against a tracer-free stub.
+disarmed sink costs two attribute loads and an identity test on the hot
+path — no event allocation, no clock read.  A run's disarmed tracer,
+flight recorder and audit sink are ``None``.  These tests pin that down
+two ways: a real scenario run with nothing armed must leave nothing
+armed, and a timed hot loop against a disarmed run's telemetry must
+stay within a few percent of the same loop against a telemetry-free
+stub.
 """
 
 from __future__ import annotations
 
+import types
 from time import perf_counter_ns
 
 from repro.core import NFConfig, NICOS, SNIC
@@ -18,7 +21,8 @@ from repro.core.vpp import VPPConfig
 from repro.net.packet import Packet
 from repro.net.rules import MatchRule
 from repro.nf import Monitor
-from repro.obs import get_tracer
+from repro.obs.flight import FlightRecorder
+from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import Tracer
 
 MB = 1024 * 1024
@@ -45,57 +49,50 @@ def run_small_scenario(n_packets: int = 10):
 
 
 class TestDisabledPathAllocatesNothing:
-    def test_full_scenario_records_zero_events(self):
-        tracer = get_tracer()
-        tracer.disable()
-        tracer.clear()
+    def test_full_scenario_records_zero_events(self, telemetry):
         stats = run_small_scenario()
         assert stats.completed == 10
         # The hot layers (cores, cache, bus, dma, accelerators, runtime,
-        # NIC OS lifecycle) all ran — and allocated no trace events.
-        assert len(tracer.events) == 0
+        # NIC OS lifecycle) all ran — and armed nothing to record into.
+        assert telemetry.tracer is None
+        assert telemetry.flight is None
+        assert telemetry.audit is None
 
     def test_disabled_span_is_one_shared_object(self):
-        tracer = Tracer(enabled=False)
-        a = tracer.span("x", tenant=1)
-        b = tracer.span("y", tenant=2, track="other")
-        assert a is b  # shared no-op singleton: zero per-call allocation
+        # Disarmed, every run's tracer is the one shared None: nothing
+        # is allocated per run or per call.
+        assert Telemetry().tracer is Telemetry().tracer is None
 
-    def test_disabled_complete_and_instant_record_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.complete("op", ts_ns=0, dur_ns=5, tenant=1)
-        tracer.instant("mark", tenant=1)
-        tracer.counter_sample("v", 1.0)
+    def test_disabled_complete_and_instant_record_nothing(self, telemetry):
+        from repro.hw.cores import ProgrammableCore
+        from repro.hw.memory import PhysicalMemory
+
+        core = ProgrammableCore(0, PhysicalMemory(64 * 4096))
+        core.record_stalls(10)  # instant hook, disarmed: goes nowhere
+        tracer = Tracer()
+        telemetry.arm(tracer=tracer)
         assert tracer.events == []
+        core.record_stalls(10)
+        assert [e.name for e in tracer.events] == ["core.stall"]
 
 
-class _StubSpan:
-    def __enter__(self):
-        return self
+class _StubTelemetry:
+    """Telemetry-free baseline: the sinks are constant ``None`` class
+    attributes, guarded exactly as the hot-path discipline guards a
+    run's disarmed sinks."""
 
-    def __exit__(self, *exc):
-        return False
-
-
-_STUB_SPAN = _StubSpan()
+    tracer = None
+    flight = None
 
 
-class _StubTracer:
-    """Tracer-free baseline: same interface, no enabled check beyond
-    the one the hot-path discipline itself performs."""
-
-    enabled = False
-
-    def complete(self, name, ts_ns, dur_ns, **kw):
-        raise AssertionError("stub must never record")
-
-
-def hot_loop(tracer, n: int) -> int:
+def hot_loop(telemetry, n: int) -> int:
     """A hot loop instrumented exactly like the simulation layers:
-    ``if tracer.enabled:`` guarding every emission."""
+    ``tracer = telemetry.tracer; if tracer is not None:`` guarding
+    every emission."""
     acc = 0
     for i in range(n):
-        if tracer.enabled:
+        tracer = telemetry.tracer
+        if tracer is not None:
             tracer.complete("op", i, 10.0, tenant=1, track="t", cat="core")
         acc += (i * 3) ^ (i >> 2)
     return acc
@@ -103,8 +100,8 @@ def hot_loop(tracer, n: int) -> int:
 
 class TestDisabledPathTiming:
     def test_disabled_tracer_within_5pct_of_stub(self):
-        real = Tracer(enabled=False)
-        stub = _StubTracer()
+        real = Telemetry()
+        stub = _StubTelemetry()
         n = 50_000
 
         # Warm up both paths so the comparison sees steady-state code.
@@ -128,31 +125,24 @@ class TestDisabledPathTiming:
             if best_real <= best_stub * 1.05:
                 break
         assert best_real <= best_stub * 1.05, (
-            f"disabled tracer {best_real} ns vs stub {best_stub} ns "
+            f"disarmed tracer {best_real} ns vs stub {best_stub} ns "
             f"({100.0 * (best_real / best_stub - 1.0):+.1f}%)")
 
     def test_enabled_tracer_actually_records_in_same_loop(self):
         # Sanity check that the loop above is really on the emit path.
-        tracer = Tracer(enabled=True)
-        hot_loop(tracer, 100)
+        tracer = Tracer()
+        hot_loop(Telemetry().arm(tracer=tracer), 100)
         assert len(tracer.events) == 100
 
 
-class _StubFlight:
-    """Flight-recorder-free baseline: same guard attribute, no hooks."""
-
-    enabled = False
-
-    def record(self, kind, name, **kw):
-        raise AssertionError("stub must never record")
-
-
-def flight_hot_loop(flight, n: int) -> int:
+def flight_hot_loop(telemetry, n: int) -> int:
     """A hot loop instrumented exactly like the audit/flight hooks:
-    ``if flight.enabled:`` guarding every emission."""
+    ``flight = telemetry.flight; if flight is not None:`` guarding
+    every emission."""
     acc = 0
     for i in range(n):
-        if flight.enabled:
+        flight = telemetry.flight
+        if flight is not None:
             flight.record("audit", "memory.scrub", ts_ns=float(i),
                           tenant=1, args={"pages": 4})
         acc += (i * 3) ^ (i >> 2)
@@ -160,22 +150,20 @@ def flight_hot_loop(flight, n: int) -> int:
 
 
 class TestDisabledFlightRecorder:
-    def test_disabled_recorder_records_nothing(self):
-        from repro.obs.flight import FlightRecorder
-
-        flight = FlightRecorder()
-        flight_hot_loop(flight, 100)
-        flight.record("audit", "x")
-        flight.note_metrics()
-        assert len(flight) == 0
+    def test_disabled_recorder_records_nothing(self, telemetry):
+        flight_hot_loop(telemetry, 100)  # disarmed: nothing recorded
+        recorder = FlightRecorder()
+        telemetry.arm(flight=recorder)
+        assert len(recorder) == 0
+        flight_hot_loop(telemetry, 3)
+        assert len(recorder) == 3
 
     def test_disabled_recorder_within_5pct_of_stub(self):
         """The flight recorder inherits the tracer's overhead contract:
-        disabled, its guard is one attribute load and a falsy branch."""
-        from repro.obs.flight import FlightRecorder
-
-        real = FlightRecorder()
-        stub = _StubFlight()
+        disarmed, its guard is two attribute loads and an identity
+        test."""
+        real = Telemetry()
+        stub = _StubTelemetry()
         n = 50_000
 
         flight_hot_loop(real, n)
@@ -195,24 +183,21 @@ class TestDisabledFlightRecorder:
             if best_real <= best_stub * 1.05:
                 break
         assert best_real <= best_stub * 1.05, (
-            f"disabled flight recorder {best_real} ns vs stub "
+            f"disarmed flight recorder {best_real} ns vs stub "
             f"{best_stub} ns "
             f"({100.0 * (best_real / best_stub - 1.0):+.1f}%)")
 
     def test_enabled_recorder_actually_records_in_same_loop(self):
-        from repro.obs.flight import FlightRecorder
-
         flight = FlightRecorder(capacity=1024)
-        flight.enable()
-        flight_hot_loop(flight, 100)
+        flight_hot_loop(Telemetry().arm(flight=flight), 100)
         assert len(flight) == 100
 
     def test_inactive_audit_emitter_is_one_attribute_load(self):
-        """The instrumentation sites guard with ``if _AUDIT.active:`` —
-        with both sinks off the flag is plain False (no property, no
+        """The instrumentation sites guard with ``audit =
+        self._telemetry.audit; if audit is not None:`` — with both sinks
+        disarmed the audit slot is plain None (a slot, no property, no
         call)."""
-        from repro.obs.auditlog import AuditEmitter, get_emitter
-
-        emitter = get_emitter()
-        assert emitter.active is False
-        assert "active" in AuditEmitter.__slots__
+        telemetry = Telemetry()
+        assert telemetry.audit is None
+        assert isinstance(Telemetry.__dict__["audit"],
+                          types.MemberDescriptorType)
