@@ -9,13 +9,13 @@ import os
 from _common import bench_main, print_table
 
 from repro.cost.profiles import MonitorMemoryModel
-from repro.obs.timeseries import merge_series_csv
+from repro.obs.windows import merge_series_csv
 
 CSV_PATH = os.path.join(os.path.dirname(__file__), "fig7_monitor_memory.csv")
 
 
 def compute_fig7(step_s=0.5):
-    """The memory curve as a ``repro.obs.timeseries.Series`` plus the
+    """The memory curve as a ``repro.obs.windows.Series`` plus the
     calibration summary (the ad-hoc stepping loop this bench used to
     carry now lives behind ``MonitorMemoryModel.sample``)."""
     model = MonitorMemoryModel()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
-    from repro.obs.timeseries import Series
+    from repro.obs.windows import Series
 
 from repro.cost.pages import (
     EQUAL_MENU,
@@ -245,9 +245,9 @@ class MonitorMemoryModel:
         return usage
 
     def sample(self, step_s: float = 0.5) -> "Series":
-        """The memory curve as a :class:`repro.obs.timeseries.Series`
+        """The memory curve as a :class:`repro.obs.windows.Series`
         (the shape every other sampled experiment exports through)."""
-        from repro.obs.timeseries import sample_function
+        from repro.obs.windows import sample_function
 
         resizes = self.resize_times()
         return sample_function(

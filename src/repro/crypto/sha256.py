@@ -5,10 +5,10 @@ initial state (§4.6), and the microbenchmarks of Appendix C time SHA-256
 digesting on the NIC's security co-processor.  This module provides the
 digest itself; :mod:`repro.core.timing` layers the calibrated clock on top.
 
-The implementation is validated against the FIPS test vectors in the test
-suite.  For large inputs a ``fast=True`` flag delegates to ``hashlib``
-(same algorithm, C speed) so whole-function-image hashing stays cheap;
-both paths produce identical digests.
+The :class:`SHA256` class is the from-scratch reference, validated
+against the FIPS test vectors and ``hashlib`` in the test suite.  The
+:func:`sha256` helper every caller uses is ``hashlib`` (same algorithm,
+C speed), so audit-chain links and per-packet hashes stay cheap.
 """
 
 from __future__ import annotations
@@ -106,21 +106,11 @@ class SHA256:
         return self.digest().hex()
 
 
-#: Inputs above this size use the hashlib fast path in :func:`sha256`.
-_FAST_PATH_THRESHOLD = 1 << 16
+def sha256(data: bytes) -> bytes:
+    """SHA-256 digest of ``data`` (``hashlib``; :class:`SHA256` is the
+    reference it is tested against)."""
+    return hashlib.sha256(data).digest()
 
 
-def sha256(data: bytes, fast: bool = True) -> bytes:
-    """SHA-256 digest of ``data``.
-
-    ``fast=True`` (the default) lets large inputs go through ``hashlib``
-    for speed; the pure-Python path is always used below 64 KiB and when
-    ``fast=False``, and the two are verified identical in tests.
-    """
-    if fast and len(data) > _FAST_PATH_THRESHOLD:
-        return hashlib.sha256(data).digest()
-    return SHA256(data).digest()
-
-
-def sha256_hex(data: bytes, fast: bool = True) -> str:
-    return sha256(data, fast=fast).hex()
+def sha256_hex(data: bytes) -> str:
+    return sha256(data).hex()

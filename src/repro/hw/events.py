@@ -16,14 +16,9 @@ Every :class:`Simulator` feeds two counters of the run it was built in
 nanoseconds advanced.  The benchmark and matrix harnesses read them
 after each scenario so every ``BENCH_*.json`` records how much simulated
 work a benchmark actually did; the cost on the event hot path is two
-integer adds.
-
-A :class:`Simulator` can also carry a *profiler* (see
-:mod:`repro.obs.profile`): when attached via :meth:`Simulator.set_profiler`
-the kernel times every callback with the host's monotonic clock and
-reports ``(callback, host_ns, sim_ns)`` per event, which is how host
-wall-time gets attributed to simulation work.  Detached (the default),
-the only cost is one attribute load and a falsy branch per event.
+integer adds.  Host time per layer is measured from outside the
+kernel (``perfbench/run.py --trace 1``), so the event loop carries no
+timing hook.
 """
 
 from __future__ import annotations
@@ -31,13 +26,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from time import perf_counter_ns
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.telemetry import current
-
-if TYPE_CHECKING:
-    from repro.obs.profile import Profiler
 
 
 @dataclass
@@ -70,7 +61,7 @@ class Simulator:
     (stable), which keeps component interactions deterministic.
 
     Every event is either *work* (:meth:`schedule`) or an *observer
-    tick* (:meth:`every`: window rotation, time-series sampling).  A run
+    tick* (:meth:`every`: window rotation and gauge sampling).  A run
     without a horizon ends when no work remains, so observers never
     keep a simulation alive and never need to know when it is over.
     """
@@ -80,16 +71,7 @@ class Simulator:
         self._sequence = itertools.count()
         self._now_ns = 0
         self._work = 0
-        self._profiler: Optional[Profiler] = None
         self._telemetry = current()
-
-    def set_profiler(self, profiler: Optional[Profiler]) -> None:
-        """Attach (or with ``None`` detach) a per-event profiler.
-
-        The profiler must expose ``on_kernel_event(callback, host_ns,
-        sim_ns)``; see :class:`repro.obs.profile.Profiler`.
-        """
-        self._profiler = profiler
 
     @property
     def now_ns(self) -> int:
@@ -146,14 +128,7 @@ class Simulator:
                 self._work -= 1
             advanced = time_ns - self._now_ns
             self._now_ns = time_ns
-            profiler = self._profiler
-            if profiler is not None:
-                host_start = perf_counter_ns()
-                event.callback()
-                profiler.on_kernel_event(
-                    event.callback, perf_counter_ns() - host_start, advanced)
-            else:
-                event.callback()
+            event.callback()
             telemetry = self._telemetry
             telemetry.events_executed += 1
             telemetry.sim_ns_advanced += advanced

@@ -19,9 +19,8 @@ hot layer:
   (:mod:`repro.obs.chrome_trace`), flat CSV/JSON metric dumps and a
   table printer (:mod:`repro.obs.export`).
 * :mod:`repro.obs.profile` — a deterministic profiler attributing
-  simulated nanoseconds and host wall-time to (layer, tenant,
-  operation) frames, with flamegraph (collapsed-stack) and top-N
-  report exporters.
+  simulated nanoseconds to (layer, tenant, operation) frames, with
+  flamegraph (collapsed-stack) and top-N report exporters.
 * :mod:`repro.obs.bench` — the unified benchmark harness behind
   ``python -m repro bench``: runs every ``benchmarks/bench_*.py``
   scenario in its own run and writes a schema-versioned
@@ -32,15 +31,12 @@ hot layer:
   waited on the co-tenant that caused it
   (``interference_wait_ns_total{resource, tenant, culprit}``), and
   :func:`blame_matrix` reconstructs who-made-whom-wait matrices.
-* :mod:`repro.obs.timeseries` — a kernel-driven periodic sampler:
-  ring-buffered, deterministic metric-over-sim-time series with
-  CSV/JSON export, replacing ad-hoc per-benchmark sampling loops.
 * :mod:`repro.obs.audit` — ``python -m repro audit``: the
   solo-vs-co-tenant isolation scorecard (interference matrices,
   slowdown deltas, side-channel capacities, noninterference verdict).
 * :mod:`repro.obs.flight` — the flight recorder: a bounded,
-  sim-time-windowed ring of recent audit events, mirrored trace
-  events, and metric deltas; strictly no-op when disabled.
+  sim-time-windowed ring of recent audit events and mirrored trace
+  events; strictly no-op when disabled.
 * :mod:`repro.obs.auditlog` — an append-only, sha256 hash-chained
   audit log of security-relevant events (attestation verdicts, page
   scrubs, TLB installs, cross-tenant denials, faults, recovery
@@ -55,7 +51,8 @@ hot layer:
   :mod:`repro.obs.openmetrics` / :mod:`repro.obs.scorecard` — the
   per-tenant SLO layer behind ``python -m repro slo``: frozen
   ``SLOSpec``/``TenantSLO`` objectives attached to scenario tenants,
-  sim-time windowed delta aggregation, SRE multi-window burn-rate
+  the sim-time windowed series (delta windows for the SLO layer, gauge
+  samples for the Figure 5b time series), SRE multi-window burn-rate
   alerting (page/ticket tiers, audit-logged), an OpenMetrics text
   exporter + strict checker, and the arbiter-sweep scorecard CLI.
 
@@ -113,8 +110,12 @@ from repro.obs.slo import (
     TenantSLO,
     evaluate_tenant,
 )
-from repro.obs.timeseries import Series, TimeSeriesSampler, sample_function
-from repro.obs.windows import WindowedAggregator, WindowSnapshot
+from repro.obs.windows import (
+    Series,
+    WindowedAggregator,
+    WindowSnapshot,
+    sample_function,
+)
 from repro.obs.telemetry import Telemetry, current, open_run
 from repro.obs.tracer import TraceEvent, Tracer
 
@@ -138,7 +139,6 @@ __all__ = [
     "Series",
     "Telemetry",
     "TenantSLO",
-    "TimeSeriesSampler",
     "TraceEvent",
     "Tracer",
     "WindowSnapshot",

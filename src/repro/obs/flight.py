@@ -7,17 +7,14 @@ tracer's unbounded event list is a debugging tool you turn on for one
 run, not something the chaos and matrix harnesses can leave enabled
 across thousands of cells.  The flight recorder is the bounded
 alternative: a ring of at most ``capacity`` entries, additionally
-evicted by simulated age (``window_ns``), fed from three sources:
+evicted by simulated age (``window_ns``), fed from two sources:
 
 * **audit events** — every security-relevant record the run's audit
   sink routes (attestation verdicts, scrubs, TLB installs, denials,
   faults, recovery actions);
 * **trace events** — when the tracer is *also* armed, each recorded
   span/instant/counter is mirrored into the ring (the tracer keeps its
-  full list; the ring keeps the tail);
-* **metric deltas** — :meth:`FlightRecorder.note_metrics` diffs a
-  registry against the previous call and records one entry per changed
-  value.
+  full list; the ring keeps the tail).
 
 Overhead discipline
 -------------------
@@ -49,7 +46,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 #: Default ring capacity (entries), sized for a useful post-mortem tail
 #: without unbounded growth across long chaos sweeps.
-DEFAULT_CAPACITY = 512
+DEFAULT_RING_CAPACITY = 512
 
 
 class FlightEntry:
@@ -85,7 +82,7 @@ _PH_KINDS = {"X": "span", "i": "event", "C": "counter"}
 class FlightRecorder:
     """A bounded, sim-time-windowed ring buffer of recent entries."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
+    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY,
                  window_ns: Optional[float] = None,
                  clock: Optional[Callable[[], float]] = None) -> None:
         if capacity <= 0:
@@ -95,8 +92,6 @@ class FlightRecorder:
         self._entries: Deque[FlightEntry] = deque(maxlen=capacity)
         self._clock = clock
         self._tick = 0
-        #: metric key -> last seen value (baseline for note_metrics).
-        self._metric_baseline: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -109,7 +104,6 @@ class FlightRecorder:
     def clear(self) -> None:
         self._entries.clear()
         self._tick = 0
-        self._metric_baseline = {}
 
     def now(self) -> float:
         if self._clock is not None:
@@ -152,34 +146,6 @@ class FlightRecorder:
             float(event.ts_ns), event.tenant, event.track,
             dict(event.args)))
         self._evict(float(event.ts_ns))
-
-    def note_metrics(self, registry: Any,
-                     ts_ns: Optional[float] = None) -> int:
-        """Record one ``metric`` entry per value of ``registry`` changed
-        since the last call (or since :meth:`clear`); returns how many
-        were recorded."""
-        ts = self.now() if ts_ns is None else float(ts_ns)
-        recorded = 0
-        baseline = self._metric_baseline
-        for sample in registry.snapshot():
-            labels = sample["labels"]
-            key = str(sample["name"]) + "{" + ",".join(
-                f"{k}={labels[k]}" for k in sorted(labels)) + "}"
-            try:
-                value = float(sample["value"])  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                continue
-            previous = baseline.get(key)
-            if previous is None or value != previous:
-                self._entries.append(FlightEntry(
-                    "metric", key, ts, None, "metrics",
-                    {"value": value,
-                     "delta": value - (previous or 0.0)}))
-                recorded += 1
-            baseline[key] = value
-        if recorded:
-            self._evict(ts)
-        return recorded
 
     def _evict(self, now_ns: float) -> None:
         """Drop entries older than the sim-time window (capacity is

@@ -1,29 +1,21 @@
 """``repro.obs.profile`` — deterministic (layer, tenant, operation) profiler.
 
 The tracer (:mod:`repro.obs.tracer`) records *what happened*; this
-module answers *where the time went*.  It attributes two different
-clocks to named frames:
+module answers *where the simulated time went*.  It consumes the
+tracer's span stream: every complete span carries a layer (its ``cat``:
+``bus``, ``cache``, ``runtime`` …), a tenant (the paper's security
+domain, ``None`` for the NIC OS) and an operation (its ``name``).
+Spans on the same (tenant, track) lane nest by interval containment,
+giving real call stacks: self time is a span's duration minus its
+children's, and the collapsed-stack export is directly
+flamegraph-compatible (``flamegraph.pl``, speedscope, inferno).
 
-* **simulated nanoseconds** — consumed from the tracer's span stream.
-  Every complete span carries a layer (its ``cat``: ``bus``, ``cache``,
-  ``runtime`` …), a tenant (the paper's security domain, ``None`` for
-  the NIC OS) and an operation (its ``name``).  Spans on the same
-  (tenant, track) lane nest by interval containment, giving real call
-  stacks: self time is a span's duration minus its children's, and the
-  collapsed-stack export is directly flamegraph-compatible
-  (``flamegraph.pl``, speedscope, inferno).
-* **host wall nanoseconds** — measured live by hooking the
-  discrete-event kernel (:meth:`repro.hw.events.Simulator.set_profiler`).
-  Every executed event is timed with the host monotonic clock and
-  attributed to its callback, so "which simulation layer is slow *to
-  simulate*" is a first-class question rather than something inferred
-  from counters.
-
-Because both sources are deterministic functions of the simulation
-(spans live on simulated time; kernel attribution is by callback
-identity), two runs of the same scenario produce identical sim-time
-profiles — which is what lets ``python -m repro bench --profile``
-artifacts be diffed across commits.
+Spans live on simulated time, so two runs of the same scenario produce
+identical profiles — which is what lets ``python -m repro bench
+--profile`` artifacts be diffed across commits.  The only host clock
+here is :meth:`Profiler.measure`, which brackets a whole run; host time
+per simulation layer is measured from outside the package
+(``perfbench/run.py --trace 1``).
 
 Typical use::
 
@@ -44,9 +36,9 @@ or the packaged one-call version over the co-tenancy demo::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.tracer import TraceEvent, Tracer
 
@@ -78,16 +70,6 @@ class FrameStat:
 
 
 @dataclass
-class HostStat:
-    """Host wall-time attributed to one kernel callback."""
-
-    operation: str
-    host_ns: int = 0
-    sim_ns: int = 0
-    events: int = 0
-
-
-@dataclass
 class _OpenSpan:
     end_ns: float
     name: str
@@ -97,7 +79,7 @@ class _OpenSpan:
 
 
 class Profiler:
-    """Attributes simulated ns and host wall ns to (layer, tenant, op).
+    """Attributes simulated ns to (layer, tenant, op) frames.
 
     The profiler is append-only: :meth:`ingest` can be called repeatedly
     (e.g. once per scenario phase) and stats accumulate.  All derived
@@ -107,7 +89,6 @@ class Profiler:
 
     def __init__(self) -> None:
         self._stacks: Dict[Tuple[str, ...], FrameStat] = {}
-        self._host: Dict[str, HostStat] = {}
         self._total_sim_ns = 0.0
         self._attributed_sim_ns = 0.0
         self._wall_ns = 0
@@ -138,28 +119,6 @@ class Profiler:
     @property
     def wall_ns(self) -> int:
         return self._wall_ns
-
-    # ------------------------------------------------------------------
-    # Host-side attribution (event-kernel hook)
-    # ------------------------------------------------------------------
-
-    def attach_kernel(self, sim) -> None:
-        """Time every event ``sim`` executes (detach with
-        :meth:`detach_kernel`)."""
-        sim.set_profiler(self)
-
-    def detach_kernel(self, sim) -> None:
-        sim.set_profiler(None)
-
-    def on_kernel_event(self, callback, host_ns: int, sim_ns: int) -> None:
-        """Called by :meth:`Simulator.step` for each executed event."""
-        name = _callback_name(callback)
-        stat = self._host.get(name)
-        if stat is None:
-            stat = self._host[name] = HostStat(operation=name)
-        stat.host_ns += host_ns
-        stat.sim_ns += sim_ns
-        stat.events += 1
 
     # ------------------------------------------------------------------
     # Sim-side attribution (tracer span stream)
@@ -290,20 +249,6 @@ class Profiler:
             })
         return rows
 
-    def host_report(self, top: int = 20) -> List[Dict[str, object]]:
-        """Top-``top`` kernel callbacks by host wall-time."""
-        rows = []
-        total = sum(s.host_ns for s in self._host.values()) or 1
-        for stat in sorted(self._host.values(), key=lambda s: -s.host_ns)[:top]:
-            rows.append({
-                "operation": stat.operation,
-                "events": stat.events,
-                "host_ns": stat.host_ns,
-                "host_pct": 100.0 * stat.host_ns / total,
-                "sim_ns": stat.sim_ns,
-            })
-        return rows
-
     def format_report(self, top: int = 20) -> str:
         lines = [
             f"profile: {self._total_sim_ns:.0f} sim-ns under "
@@ -319,18 +264,6 @@ class Profiler:
                 f"{row['self_ns']:>14.0f}  {row['self_pct']:>6.2f}%  "
                 f"{row['count']:>7}  {row['stack']}"
             )
-        host_rows = self.host_report(top)
-        if host_rows:
-            lines.append("")
-            lines.append(
-                f"{'host ns':>14}  {'host %':>7}  {'events':>7}  "
-                "kernel callback"
-            )
-            for row in host_rows:
-                lines.append(
-                    f"{row['host_ns']:>14}  {row['host_pct']:>6.2f}%  "
-                    f"{row['events']:>7}  {row['operation']}"
-                )
         return "\n".join(lines)
 
     def summary(self) -> Dict[str, object]:
@@ -342,8 +275,6 @@ class Profiler:
             "stacks": len(self._stacks),
             "instants": self._instants,
             "wall_ns": self._wall_ns,
-            "kernel_events_timed": sum(s.events for s in self._host.values()),
-            "kernel_host_ns": sum(s.host_ns for s in self._host.values()),
         }
 
 
@@ -351,13 +282,6 @@ def _is_named_lane(cat: str, tenant: Optional[int]) -> bool:
     """A lane is *named* when its layer is a real category and its
     tenant resolves (a domain id, or the infra lane)."""
     return bool(cat) and (tenant is None or isinstance(tenant, int))
-
-
-def _callback_name(callback) -> str:
-    name = getattr(callback, "__qualname__", None)
-    if name is None:
-        return repr(callback)
-    return name.replace(".<locals>", "")
 
 
 def profile_cotenancy_scenario(
@@ -368,10 +292,10 @@ def profile_cotenancy_scenario(
     """Run the packaged co-tenancy demo under the profiler.
 
     This is what ``python -m repro bench --profile`` executes: the
-    scenario runs with tracing on and the event kernel hooked, the span
-    stream is folded into (layer, tenant, operation) stacks, and the
-    collapsed-stack file (if requested) is written for flamegraph
-    tooling.  Returns ``{"profiler", "scenario", "collapsed_path"}``.
+    scenario runs with tracing on, the span stream is folded into
+    (layer, tenant, operation) stacks, and the collapsed-stack file (if
+    requested) is written for flamegraph tooling.  Returns
+    ``{"profiler", "scenario", "collapsed_path"}``.
     """
     import os
     import tempfile
@@ -385,7 +309,6 @@ def profile_cotenancy_scenario(
             scenario = run_cotenancy_scenario(
                 out_path=os.path.join(tmp, "profile_trace.json"),
                 n_packets=n_packets,
-                profiler=profiler,
             )
     profiler.ingest(scenario["tracer"])
     if collapsed_path:

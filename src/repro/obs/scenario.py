@@ -21,8 +21,8 @@ from typing import Dict, Optional
 
 from repro.obs import chrome_trace, export, metrics
 from repro.obs.telemetry import current
-from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.tracer import Tracer
+from repro.obs.windows import WindowedAggregator
 
 MB = 1024 * 1024
 
@@ -76,7 +76,6 @@ def run_cotenancy_scenario(
     out_path: str = "snic_trace.json",
     n_packets: int = 60,
     metrics_path: Optional[str] = None,
-    profiler=None,
     timeseries_path: Optional[str] = None,
     spec=None,
 ) -> Dict[str, object]:
@@ -91,16 +90,14 @@ def run_cotenancy_scenario(
     (returned under ``"tracer"``); the caller owns the run.
 
     Returns a summary dict (paths, counts, layers covered, tenants
-    observed) used by the CLI and asserted by the test suite.  Passing a
-    :class:`repro.obs.profile.Profiler` additionally hooks the
-    event-driven phase's kernel, so host wall-time per executed event is
-    attributed alongside the simulated-time span profile.
+    observed) used by the CLI and asserted by the test suite.
 
     The event-driven phase also carries a
-    :class:`repro.obs.timeseries.TimeSeriesSampler` on the runtime's
-    kernel: per-tenant RX-ring occupancy and completed-packet counts are
-    sampled every poll interval (``timeseries_path`` exports the series
-    as CSV; the sampler itself is returned under ``"timeseries"``).
+    :class:`repro.obs.windows.WindowedAggregator` on the runtime's
+    kernel, tracking no registry instruments: per-tenant RX-ring
+    occupancy and completed-packet counts are sampled every poll
+    interval (``timeseries_path`` exports the series as CSV; the
+    aggregator itself is returned under ``"timeseries"``).
     """
     # Imports here keep ``import repro.obs`` itself dependency-light.
     from repro.hw.accelerator import AcceleratorRequest
@@ -126,27 +123,23 @@ def run_cotenancy_scenario(
         # Phase 1: packets through the event-driven runtime (runtime +
         # lifecycle layers; clock = simulated nanoseconds).
         # --------------------------------------------------------------
-        if profiler is not None:
-            profiler.attach_kernel(runtime.sim)
         runtime.inject(built.make_packets())
         # Kernel-driven sampling: one aligned row per poll interval,
         # ending with the run at the last completion (observer ticks).
-        sampler = TimeSeriesSampler(runtime.sim,
-                                    interval_ns=runtime.poll_interval_ns)
+        series = WindowedAggregator(runtime.sim,
+                                    window_ns=runtime.poll_interval_ns,
+                                    prefixes=())
         for tenant in tenants:
             record = snic.record(tenant)
-            sampler.watch(f"rx_ring_occupancy[{tenant}]",
-                          lambda r=record: float(r.vpp.rx_ring.occupancy))
-        sampler.watch("packets_completed",
-                      lambda: float(runtime.stats.completed))
-        sampler.start()
+            series.watch(f"rx_ring_occupancy[{tenant}]",
+                         lambda r=record: float(r.vpp.rx_ring.occupancy))
+        series.watch("packets_completed",
+                     lambda: float(runtime.stats.completed))
+        series.start()
         stats = runtime.run()
-        sampler.stop()
-        sampler.sample_now()  # the state after the last completion
-        if profiler is not None:
-            profiler.detach_kernel(runtime.sim)
+        series.close()  # the state after the last completion
         if timeseries_path:
-            sampler.write_csv(timeseries_path)
+            series.write_csv(timeseries_path)
 
         # --------------------------------------------------------------
         # Phase 2: direct contention on the shared microarchitecture
@@ -226,9 +219,9 @@ def run_cotenancy_scenario(
             "tracks": tracer.tracks(),
             "packets_completed": stats.completed,
             "packets_dropped": stats.dropped,
-            "timeseries": sampler,
+            "timeseries": series,
             "timeseries_path": timeseries_path,
-            "timeseries_samples": sampler.samples_taken,
+            "timeseries_samples": series.samples_taken,
             "tracer": tracer,
         }
     tracer.use_clock(None)

@@ -1,17 +1,25 @@
-"""Sim-time windowed aggregation of metrics registry state.
+"""Sim-time windowed series over the event kernel.
 
-The registry (:mod:`repro.obs.metrics`) is cumulative: a counter or
-histogram answers "what happened since the run began", which is the
-right shape for end-of-run scorecards but useless for *rate* questions
-— an SLO burn rate is "how fast is the error budget being consumed
-**right now**", which needs per-window deltas.
+One observer on :meth:`Simulator.every` serves two views of state
+sampled on the same simulated clock (no wall clock, and as an observer
+tick it never keeps a run alive):
 
-:class:`WindowedAggregator` rides the event kernel exactly like
-:class:`~repro.obs.timeseries.TimeSeriesSampler` (an observer tick from
-:meth:`Simulator.every`, so it never keeps a run alive; no wall clock):
-every ``window_ns`` of simulated time it *rotates*, snapshotting the
-delta of every tracked instrument since the previous rotation into a
-:class:`WindowSnapshot`.  Deltas are first-class instruments, not flat numbers:
+* **delta windows** — the registry (:mod:`repro.obs.metrics`) is
+  cumulative: a counter or histogram answers "what happened since the
+  run began", which is the right shape for end-of-run scorecards but
+  useless for *rate* questions — an SLO burn rate is "how fast is the
+  error budget being consumed **right now**", which needs per-window
+  deltas.  Every ``window_ns`` the :class:`WindowedAggregator`
+  *rotates*, snapshotting the delta of every tracked instrument since
+  the previous rotation into a :class:`WindowSnapshot`;
+* **gauge samples** — :meth:`WindowedAggregator.watch` registers named
+  *probes* (zero-argument callables returning a number: a ring depth, a
+  completed-packet count).  Probes are sampled at :meth:`start`, at
+  every rotation and at :meth:`close`, one aligned row per sample, and
+  :meth:`WindowedAggregator.write_csv` exports the rows (the Figure 5b
+  co-tenancy series).  Same workload, same cadence, byte-identical CSV.
+
+Deltas are first-class instruments, not flat numbers:
 
 * counter deltas are floats (``value_now - value_at_window_start``);
 * histogram deltas are real :class:`~repro.obs.metrics.Histogram`
@@ -36,7 +44,14 @@ the same resolution the cumulative histogram offers anyway.
 Only instruments whose name starts with one of the configured
 ``prefixes`` are tracked (default: the ``slo_`` and ``interference_``
 families), keeping rotation cost proportional to the telemetry the SLO
-layer actually judges, not the whole hw-layer registry.
+layer actually judges, not the whole hw-layer registry; ``prefixes=()``
+tracks none and leaves only the gauge samples.
+
+For model-driven series with no event kernel at all (the monitor cost
+model plots memory over *seconds* of host time), :func:`sample_function`
+evaluates a function over a fixed grid into the same :class:`Series`
+shape, and :func:`merge_series_csv` is the one CSV writer both kinds of
+series export through.
 """
 
 from __future__ import annotations
@@ -63,6 +78,82 @@ DEFAULT_PREFIXES: Tuple[str, ...] = ("slo_", "interference_")
 DEFAULT_MAX_WINDOWS = 4096
 
 InstrumentKey = Tuple[str, LabelKey]
+
+Probe = Callable[[], float]
+
+
+class Series:
+    """One named time series: aligned sample times and values."""
+
+    __slots__ = ("name", "times", "values")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.times: List[float] = []
+        self.values: List[float] = []
+
+    def append(self, time_ns: float, value: float) -> None:
+        self.times.append(time_ns)
+        self.values.append(value)
+
+    def points(self) -> List[Tuple[float, float]]:
+        return list(zip(self.times, self.values))
+
+    def latest(self) -> Optional[Tuple[float, float]]:
+        if not self.times:
+            return None
+        return self.times[-1], self.values[-1]
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Series({self.name!r}, n={len(self)})"
+
+
+def sample_function(fn: Callable[[float], float], start: float, stop: float,
+                    step: float, name: str = "value") -> Series:
+    """Evaluate ``fn`` over a fixed grid into a :class:`Series`.
+
+    For model-driven series with no event kernel (e.g. the monitor
+    memory model, which is a closed-form function of elapsed seconds).
+    The grid is inclusive of ``stop`` modulo floating-point stepping,
+    matching the historical ``while t <= stop`` loops it replaces.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    series = Series(name)
+    t = start
+    i = 0
+    while t <= stop + 1e-9:
+        series.append(t, float(fn(t)))
+        i += 1
+        t = start + i * step
+    return series
+
+
+def merge_series_csv(series: Sequence[Series], time_label: str = "t") -> str:
+    """CSV for a set of series sharing one time grid.
+
+    All series must have identical times (series sampled on the same
+    ticks, or :func:`sample_function` with shared grid parameters);
+    raises ``ValueError`` otherwise rather than silently misaligning
+    rows.
+    """
+    if not series:
+        return time_label + "\n"
+    times = series[0].times
+    for s in series[1:]:
+        if s.times != times:
+            raise ValueError(
+                f"series {s.name!r} is on a different time grid")
+    header = [time_label] + [s.name for s in series]
+    lines = [",".join(header)]
+    columns = [s.values for s in series]
+    for i, t in enumerate(times):
+        row = [t] + [col[i] for col in columns]
+        lines.append(",".join(f"{v:g}" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _labels_dict(labels: LabelKey) -> Dict[str, str]:
@@ -160,15 +251,17 @@ def _delta_histogram(current: Histogram, base_counts: List[int],
 
 
 class WindowedAggregator:
-    """Rotating delta snapshots of registry state on the event kernel.
+    """Rotating delta snapshots and gauge samples on the event kernel.
 
     Usage::
 
         agg = WindowedAggregator(sim, window_ns=10_000)
+        occupancy = agg.watch("rx_ring", lambda: float(ring.occupancy))
         agg.start()
         ... run the kernel-driven workload ...
-        agg.close()                # capture the final partial window
+        agg.close()                # the final partial window and sample
         for snap in agg.snapshots: ...
+        agg.write_csv("series.csv")
 
     ``registry`` defaults to the current run's.
     """
@@ -198,12 +291,30 @@ class WindowedAggregator:
         self._counter_base: Dict[InstrumentKey, float] = {}
         self._hist_base: Dict[InstrumentKey,
                               Tuple[List[int], int, float]] = {}
+        self._watched: Dict[str, Tuple[Probe, Series]] = {}
+        self.samples_taken = 0
         self._handle = None
         self._closed = False
+
+    def watch(self, name: str, probe: Probe) -> Series:
+        """Sample ``probe`` under ``name`` with every rotation; returns
+        its series."""
+        if name in self._watched:
+            raise ValueError(f"duplicate series name {name!r}")
+        series = Series(name)
+        self._watched[name] = (probe, series)
+        return series
+
+    def _sample(self, now: float) -> None:
+        for probe, series in self._watched.values():
+            series.append(now, float(probe()))
+        self.samples_taken += 1
 
     def _tracked(self) -> List[Tuple[InstrumentKey, object]]:
         """Tracked instruments in deterministic (name, labels) order."""
         out: List[Tuple[InstrumentKey, object]] = []
+        if not self.prefixes:
+            return out
         for instrument in self._registry.instruments():
             name = getattr(instrument, "name", "")
             if not name.startswith(self.prefixes):
@@ -217,13 +328,15 @@ class WindowedAggregator:
     # ------------------------------------------------------------------
 
     def rotate(self, now_ns: Optional[float] = None) -> WindowSnapshot:
-        """Close the current window at ``now_ns`` and start the next.
+        """Sample the probes, close the current window at ``now_ns`` and
+        start the next.
 
         Kernel-driven rotation calls this from the scheduled tick;
         phases advancing time outside the kernel (the contention rig)
         call it directly with their own timestamps.
         """
         now = float(self.sim.now_ns) if now_ns is None else float(now_ns)
+        self._sample(now)
         counters: Dict[InstrumentKey, float] = {}
         histograms: Dict[InstrumentKey, Histogram] = {}
         for key, instrument in self._tracked():
@@ -254,15 +367,17 @@ class WindowedAggregator:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Kernel scheduling: an observer tick, like the TimeSeriesSampler
+    # Kernel scheduling: an observer tick
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Rotate every ``window_ns`` of simulated time while work runs."""
+        """Sample now, then rotate every ``window_ns`` of simulated time
+        while work runs."""
         if self._handle is not None:
             raise RuntimeError("aggregator already started")
         self._window_start_ns = float(self.sim.now_ns)
         self._prime_bases()
+        self._sample(self._window_start_ns)
         # Looked up per tick, so a wrapped ``rotate`` is what ticks call.
         self._handle = self.sim.every(self.window_ns, lambda: self.rotate())
 
@@ -285,7 +400,8 @@ class WindowedAggregator:
                 self._counter_base[key] = instrument.value
 
     def close(self, now_ns: Optional[float] = None) -> None:
-        """Stop and capture any final partial window.
+        """Stop, sample the probes once more and capture any final
+        partial window.
 
         Idempotent; the trailing window is recorded only when something
         changed after the last rotation (or when time advanced past it).
@@ -327,3 +443,17 @@ class WindowedAggregator:
         """Sum of one counter's deltas across every retained window."""
         return sum(snapshot.counter(name, **labels)
                    for snapshot in self.snapshots)
+
+    # ------------------------------------------------------------------
+    # Gauge export
+    # ------------------------------------------------------------------
+
+    def to_csv(self) -> str:
+        """One row per sample, columns sorted by series name."""
+        return merge_series_csv(
+            [self._watched[name][1] for name in sorted(self._watched)],
+            time_label="time_ns")
+
+    def write_csv(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.to_csv())

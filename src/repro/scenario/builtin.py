@@ -63,8 +63,7 @@ def _cotenancy_driver(spec: ScenarioSpec, *, quick: bool = False,
     if n_packets is not None and n_packets != spec.traffic.n_packets:
         spec = cotenancy_spec(n_packets=int(n_packets))
     kwargs = {key: options[key]
-              for key in ("out_path", "metrics_path", "profiler",
-                          "timeseries_path")
+              for key in ("out_path", "metrics_path", "timeseries_path")
               if options.get(key) is not None}
     return run_cotenancy_scenario(spec=spec, **kwargs)
 

@@ -41,7 +41,8 @@ class TestSHA256:
 
     @pytest.mark.parametrize("message,digest", VECTORS)
     def test_fips_vectors(self, message, digest):
-        assert sha256_hex(message, fast=False) == digest
+        assert SHA256(message).hexdigest() == digest
+        assert sha256_hex(message) == digest
 
     def test_million_a(self):
         # The classic one-million-'a' vector, via incremental updates.
@@ -56,29 +57,29 @@ class TestSHA256:
     @pytest.mark.parametrize("length", [54, 55, 56, 57, 63, 64, 65, 119, 120])
     def test_padding_boundaries(self, length):
         message = bytes(range(256))[:length] * 1
-        assert sha256(message, fast=False) == hashlib.sha256(message).digest()
+        assert SHA256(message).digest() == hashlib.sha256(message).digest()
 
     def test_incremental_equals_oneshot(self):
         h = SHA256()
         h.update(b"hello ")
         h.update(b"world")
-        assert h.digest() == sha256(b"hello world", fast=False)
+        assert h.digest() == SHA256(b"hello world").digest()
 
     def test_digest_does_not_finalize(self):
         h = SHA256(b"ab")
         first = h.digest()
         assert h.digest() == first
         h.update(b"c")
-        assert h.digest() == sha256(b"abc", fast=False)
+        assert h.digest() == SHA256(b"abc").digest()
 
     def test_fast_path_matches_pure(self):
         blob = b"z" * (1 << 17)
-        assert sha256(blob, fast=True) == sha256(blob, fast=False)
+        assert sha256(blob) == SHA256(blob).digest()
 
     @settings(max_examples=30)
     @given(st.binary(max_size=300))
     def test_matches_hashlib_property(self, data):
-        assert sha256(data, fast=False) == hashlib.sha256(data).digest()
+        assert SHA256(data).digest() == hashlib.sha256(data).digest()
 
 
 class TestRSA:

@@ -97,6 +97,18 @@ class TestSimulator:
     def test_step_empty_returns_false(self):
         assert Simulator().step() is False
 
+    def test_events_feed_the_run_counters(self, telemetry):
+        sim = Simulator()
+
+        def tick():
+            pass
+
+        sim.schedule(10, tick)
+        sim.schedule(25, tick)
+        sim.run()
+        assert telemetry.events_executed == 2
+        assert telemetry.sim_ns_advanced == 25
+
 
 class TestWorkAndObservers:
     def test_cancel_twice_leaves_pending_unchanged(self):

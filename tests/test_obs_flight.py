@@ -1,10 +1,9 @@
 """The flight recorder: ring semantics, sim-time windowing, tracer
-mirroring, metric deltas, and arming on a run."""
+mirroring, and arming on a run."""
 
 from __future__ import annotations
 
-from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.flight import DEFAULT_RING_CAPACITY, FlightRecorder
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import Tracer
 
@@ -41,7 +40,7 @@ class TestRingSemantics:
         assert [e["name"] for e in recorder.tail(3)] == ["e7", "e8", "e9"]
 
     def test_default_capacity(self):
-        assert FlightRecorder().capacity == DEFAULT_CAPACITY
+        assert FlightRecorder().capacity == DEFAULT_RING_CAPACITY
 
     def test_internal_tick_advances_without_a_clock(self):
         recorder = FlightRecorder()
@@ -64,12 +63,6 @@ class TestDisabledNoOp:
         assert len(recorder) == 0
         tlb.clear(force=True)
         assert [e.name for e in recorder.entries()] == ["tlb.clear"]
-
-    def test_disabled_note_metrics_reads_nothing(self):
-        recorder = FlightRecorder()
-        assert recorder.note_metrics(MetricsRegistry()) == 0
-        assert recorder._metric_baseline == {}
-        assert len(recorder) == 0
 
 
 class TestTracerMirror:
@@ -100,24 +93,6 @@ class TestTracerMirror:
             tracer.instant(f"e{i}", tenant=None)
         assert len(tracer.events) == 20
         assert len(recorder) == 4
-
-
-class TestMetricDeltas:
-    def test_note_metrics_records_changed_values_once(self):
-        recorder = FlightRecorder()
-        registry = MetricsRegistry()
-        counter = registry.counter("fixture_flight_total", tenant=1)
-        counter.inc(5)
-        first = recorder.note_metrics(registry, ts_ns=1.0)
-        assert first >= 1
-        # No changes → no new entries.
-        assert recorder.note_metrics(registry, ts_ns=2.0) == 0
-        counter.inc(2)
-        assert recorder.note_metrics(registry, ts_ns=3.0) == 1
-        deltas = [e for e in recorder.entries() if e.kind == "metric"
-                  and "fixture_flight_total" in e.name]
-        assert deltas[-1].args["delta"] == 2.0
-        assert deltas[-1].args["value"] == 7.0
 
 
 class TestEnableDisableLifecycle:

@@ -35,7 +35,6 @@ def drive_forensics(seed: int = 3) -> None:
     audit.emit("memory.scrub", tenant=0, pages=seed, scrubbed=True)
     telemetry.registry.counter(
         "fixture_pm_total", tenant=0).inc(seed)
-    telemetry.flight.note_metrics(telemetry.registry)
 
 
 class _Spec:

@@ -1,7 +1,7 @@
 """Tests for repro.obs.profile — the deterministic sim-time profiler.
 
 Covers span-nesting attribution (self vs cumulative), collapsed-stack
-export, coverage accounting, kernel wall-time hooks, and the end-to-end
+export, coverage accounting, wall-clock bracketing, and the end-to-end
 co-tenancy profile used by ``python -m repro bench --profile``.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hw.events import Simulator
 from repro.obs.profile import (
     FrameStat,
     Profiler,
@@ -157,39 +156,7 @@ class TestCollapsedExport:
         assert cum["layer:core"] == pytest.approx(100)
 
 
-class TestKernelHook:
-    def test_attach_detach_and_wall_attribution(self, telemetry):
-        sim = Simulator()
-        prof = Profiler()
-        prof.attach_kernel(sim)
-
-        def tick():
-            pass
-
-        sim.schedule(10, tick)
-        sim.schedule(25, tick)
-        sim.run()
-        prof.detach_kernel(sim)
-
-        rows = prof.host_report()
-        assert len(rows) == 1
-        row = rows[0]
-        assert "tick" in row["operation"]
-        assert row["events"] == 2
-        assert row["sim_ns"] == 25
-        assert row["host_ns"] > 0
-        assert telemetry.events_executed == 2
-        assert telemetry.sim_ns_advanced == 25
-
-    def test_detached_kernel_records_nothing_more(self):
-        sim = Simulator()
-        prof = Profiler()
-        prof.attach_kernel(sim)
-        prof.detach_kernel(sim)
-        sim.schedule(5, lambda: None)
-        sim.run()
-        assert prof.host_report() == []
-
+class TestWallClock:
     def test_measure_brackets_wall_time(self):
         prof = Profiler()
         with prof.measure():

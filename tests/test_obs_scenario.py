@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.obs import metrics
 from repro.obs.scenario import run_cotenancy_scenario, sample_snic_gauges
-from repro.obs.profile import Profiler
 
 
 @pytest.fixture
@@ -58,13 +58,25 @@ class TestCotenancyScenario:
         assert run.tracer is summary["tracer"]
         assert current() is outer and outer.tracer is None
 
-    def test_profiler_hook_times_kernel_events(self, tmp_path):
-        prof = Profiler()
-        run_cotenancy_scenario(out_path=str(tmp_path / "t.json"),
-                               n_packets=8, profiler=prof)
-        rows = prof.host_report()
-        assert rows and rows[0]["events"] > 0
-        assert sum(r["host_ns"] for r in rows) > 0
+    @pytest.mark.parametrize("n_packets,digest,samples", [
+        (16, "13472167847e0fdaee8a493ac8ff29e0"
+             "5947657efa7456126a29c2e983e749cf", 9),
+        (60, "f8977493a367361f3a2ebd545fd6c25a"
+             "07d6f5b207fd95cc256030ff40cded7b", 26),
+    ])
+    def test_fig5b_series_csv_is_pinned(self, tmp_path, n_packets, digest,
+                                        samples):
+        # The Figure 5b co-tenancy series: per-tenant RX-ring occupancy
+        # and completed packets, one row per poll interval plus the row
+        # after the last completion.
+        csv_path = tmp_path / "fig5b.csv"
+        s = run_cotenancy_scenario(out_path=str(tmp_path / "t.json"),
+                                   n_packets=n_packets,
+                                   timeseries_path=str(csv_path))
+        text = csv_path.read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest
+        assert s["timeseries_samples"] == samples
+        assert len(text.splitlines()) == samples + 1
 
 
 class TestSampleSnicGauges:

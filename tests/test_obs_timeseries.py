@@ -1,16 +1,16 @@
-"""Kernel-driven time-series sampling: deterministic cadence,
-observer ticks that end with the work, aligned export."""
+"""The gauge view of the windowed series: probes sampled on the
+aggregator's rotations (deterministic cadence, observer ticks that end
+with the work, aligned export) and the fixed-grid series helpers."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.hw.events import Simulator
-from repro.obs.timeseries import (
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.windows import (
     Series,
-    TimeSeriesSampler,
+    WindowedAggregator,
     merge_series_csv,
     sample_function,
 )
@@ -26,17 +26,6 @@ class TestSeries:
         assert series.latest() == (10.0, 2.0)
         assert len(series) == 2
 
-    def test_ring_drops_the_oldest(self):
-        series = Series("x", capacity=3)
-        for i in range(5):
-            series.append(float(i), float(i * i))
-        assert series.times == [2.0, 3.0, 4.0]
-        assert series.values == [4.0, 9.0, 16.0]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Series("x", capacity=0)
-
 
 def workload(sim: Simulator, counter: dict, at_ns) -> None:
     for t in at_ns:
@@ -44,24 +33,30 @@ def workload(sim: Simulator, counter: dict, at_ns) -> None:
             "n", counter["n"] + 1))
 
 
+def sampler(sim: Simulator, interval_ns: int) -> WindowedAggregator:
+    """An aggregator that tracks no registry instruments: gauges only."""
+    return WindowedAggregator(sim, window_ns=interval_ns,
+                              registry=MetricsRegistry(), prefixes=())
+
+
 class TestSampler:
     def test_samples_on_the_grid_and_stops_when_idle(self):
         sim = Simulator()
         counter = {"n": 0}
         workload(sim, counter, [300, 1300, 2300, 3300, 4300])
-        sampler = TimeSeriesSampler(sim, interval_ns=1000)
-        series = sampler.watch("events_seen", lambda: float(counter["n"]))
-        sampler.start()
-        sim.run()  # terminates: sampler ticks are not work
+        agg = sampler(sim, interval_ns=1000)
+        series = agg.watch("events_seen", lambda: float(counter["n"]))
+        agg.start()
+        sim.run()  # terminates: rotation ticks are not work
         assert sim.pending == 0 and sim.now_ns == 4300
         assert series.times == [0.0, 1000.0, 2000.0, 3000.0, 4000.0]
         assert series.values == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_until_horizon_keeps_sampling_without_other_work(self):
         sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_ns=500)
-        series = sampler.watch("const", lambda: 7.0)
-        sampler.start()
+        agg = sampler(sim, interval_ns=500)
+        series = agg.watch("const", lambda: 7.0)
+        agg.start()
         sim.run(until_ns=2000)
         assert series.times == [0.0, 500.0, 1000.0, 1500.0, 2000.0]
         assert all(v == 7.0 for v in series.values)
@@ -71,65 +66,49 @@ class TestSampler:
             sim = Simulator()
             counter = {"n": 0}
             workload(sim, counter, [300, 1300, 2300])
-            sampler = TimeSeriesSampler(sim, interval_ns=1000)
-            sampler.watch("events_seen", lambda: float(counter["n"]))
-            sampler.start()
+            agg = sampler(sim, interval_ns=1000)
+            agg.watch("events_seen", lambda: float(counter["n"]))
+            agg.start()
             sim.run()
-            sampler.sample_now()
-            return sampler.to_csv()
+            agg.close()
+            return agg.to_csv()
 
         assert one_run() == one_run()
 
     def test_duplicate_name_rejected(self):
-        sampler = TimeSeriesSampler(Simulator(), interval_ns=100)
-        sampler.watch("x", lambda: 0.0)
+        agg = sampler(Simulator(), interval_ns=100)
+        agg.watch("x", lambda: 0.0)
         with pytest.raises(ValueError):
-            sampler.watch("x", lambda: 1.0)
+            agg.watch("x", lambda: 1.0)
 
     def test_double_start_rejected(self):
-        sampler = TimeSeriesSampler(Simulator(), interval_ns=100)
-        sampler.start()
+        agg = sampler(Simulator(), interval_ns=100)
+        agg.start()
         with pytest.raises(RuntimeError):
-            sampler.start()
+            agg.start()
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
-            TimeSeriesSampler(Simulator(), interval_ns=0)
+            sampler(Simulator(), interval_ns=0)
 
     def test_csv_rows_are_aligned_and_sorted(self):
         sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_ns=100)
-        sampler.watch("b_metric", lambda: 2.0)
-        sampler.watch("a_metric", lambda: 1.0)
-        sampler.start()
+        agg = sampler(sim, interval_ns=100)
+        b = agg.watch("b_metric", lambda: 2.0)
+        a = agg.watch("a_metric", lambda: 1.0)
+        agg.start()
         sim.run(until_ns=200)
-        header, rows = sampler.rows()
-        assert header == ["time_ns", "a_metric", "b_metric"]
-        assert rows == [[0.0, 1.0, 2.0], [100.0, 1.0, 2.0],
-                        [200.0, 1.0, 2.0]]
-        csv = sampler.to_csv()
-        assert csv.splitlines()[0] == "time_ns,a_metric,b_metric"
-        assert csv.splitlines()[1] == "0,1,2"
-
-    def test_json_export_round_trips(self, tmp_path):
-        sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_ns=100)
-        sampler.watch("x", lambda: 3.5)
-        sampler.start()
-        sim.run(until_ns=100)
-        path = tmp_path / "series.json"
-        sampler.write_json(str(path))
-        payload = json.loads(path.read_text())
-        assert payload["interval_ns"] == 100
-        assert payload["series"]["x"]["values"] == [3.5, 3.5]
+        assert a.times == b.times == [0.0, 100.0, 200.0]
+        assert agg.to_csv().splitlines() == [
+            "time_ns,a_metric,b_metric", "0,1,2", "100,1,2", "200,1,2"]
 
     def test_stop_cancels_the_pending_tick(self):
         sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_ns=100)
-        series = sampler.watch("x", lambda: 1.0)
-        sampler.start()
-        sampler.stop()
-        assert not sampler.running
+        agg = sampler(sim, interval_ns=100)
+        series = agg.watch("x", lambda: 1.0)
+        agg.start()
+        agg.stop()
+        assert not agg.running
         sim.run(until_ns=10_000)  # the cancelled tick must not fire
         assert series.times == [0.0]
 
